@@ -52,9 +52,10 @@ def main():
         print("   subset %-18s pc = %s" % ([g.ids[v] for v in subset], val))
 
     print()
-    print("subgraph decomposition function:", s_function(g))
+    print("subgraph decomposition function, whole tree:", s_function(g)[(1 << g.n) - 1])
     e8 = fixtures.ade_graph("E8")
-    print("same on the unimodular -2 tree:", s_function(e8), "(everything vanishes)")
+    print("same on the unimodular -2 tree:", s_function(e8)[(1 << e8.n) - 1],
+          "(everything vanishes)")
 
 
 if __name__ == "__main__":

@@ -75,14 +75,11 @@ from .sw import (
     verify_pc_surgery,
 )
 from .cubes import (
-    Cube,
-    Rectangle,
     coefficient_via_cubes,
     gorenstein_pc,
     s_function,
     swbar,
     swbar_via_cubes,
-    weight,
 )
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -7,20 +7,29 @@ spanned by 0 and the anticanonical cycle.  Nothing here touches the
 series enumeration, which is exactly what makes these sums useful as an
 oracle against it.
 
-Cube bookkeeping is done on an n-dimensional integer grid of chi values,
-so a whole rectangle sum is a handful of shifted-slice maxima.
+One kernel, `_cube_sums`, evaluates every rectangle sum on an
+n-dimensional int64 grid of chi values over the box [0, hi].  It visits
+the direction sets J depth first and builds the weight grid of J + v
+(max of chi over the cube at each base) from that of J by one elementwise
+maximum of two shifted views: 2^n array maxima per pass instead of 3^n
+shifted slices, with at most n + 1 weight grids alive at a time.  A
+direction set whose base range is empty for every query is pruned with all
+its supersets.  The signed weight grids add up into one grid whose suffix
+sums answer a whole batch of (lo, skipped top faces) queries, so all 2^n
+face sums of the anticanonical rectangle, or all 2^|I| - 1 skip terms of an
+inclusion-exclusion, cost one pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     InternalDisagreement,
+    MethodPreconditionFailed,
     NotGorenstein,
     SubsetCapExceeded,
 )
@@ -31,56 +40,25 @@ from .sw import sw_invariant
 SUBSET_SWEEP_CAP = 12
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Lattice cube: base point plus a subset of unit directions."""
-
-    base: LatticeVector
-    directions: tuple
-
-    def vertices(self):
-        g = self.base.graph
-        for sub in itertools.chain.from_iterable(
-            itertools.combinations(self.directions, r)
-            for r in range(len(self.directions) + 1)
-        ):
-            step = g.zero()
-            for v in sub:
-                step = step + g.basis_vector(v)
-            yield self.base + step
+def _subset_bits(k):
+    """Row j holds the k bits of j: every subset of k directions once."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    lo: LatticeVector
-    hi: LatticeVector
-
-    def contains_cube(self, cube: Cube) -> bool:
-        return all(self.lo <= p and p <= self.hi for p in cube.vertices())
-
-
-def weight(g: PlumbingGraph, l: LatticeVector, directions) -> int:
-    """max of chi over the vertices of the cube (l, directions)."""
-    assert l.is_integral()
-    best = None
-    for p in Cube(l, tuple(directions)).vertices():
-        c = g.chi(p)
-        assert c.denominator == 1
-        if best is None or c > best:
-            best = c
-    return int(best)
-
-
-def _corner_matrix(g):
-    key = "corner_matrix"
+def _corner_data(g):
+    """Per-graph constants of coefficient_via_cubes: the 2^n corners of the
+    unit cube (row j has the bits of j), the int64 intersection matrix and
+    K pairings, 2 chi of each corner less its cross term with the base
+    point, and the sign (-1)^(|J|+1) of each direction set."""
+    key = "cube_corners"
     if key not in g._cache:
         n = g.n
-        corners = np.zeros((1 << n, n), dtype=np.int64)
-        for sub in range(1 << n):
-            for v in range(n):
-                if sub >> v & 1:
-                    corners[sub, v] = 1
-        g._cache[key] = corners
+        corners = _subset_bits(n)
+        imat = np.array(g.matrix, dtype=np.int64)
+        kp = np.array(g.kpair, dtype=np.int64)
+        own = -(np.einsum("ij,jk,ik->i", corners, imat, corners) + corners @ kp)
+        signs = np.where(corners.sum(axis=1) % 2 == 1, 1, -1)
+        g._cache[key] = (corners, imat, kp, own, signs)
     return g._cache[key]
 
 
@@ -90,22 +68,19 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
     w(l, J) for all J at once: chi on the 2^n corners of the unit cube at
     l, then a subset-max transform.
     """
-    assert l.is_integral()
-    n = g.n
-    pts = np.array([int(c) for c in l.coords], dtype=np.int64)[None, :] + _corner_matrix(g)
-    imat = np.array(g.matrix, dtype=np.int64)
-    kp = np.array(g.kpair, dtype=np.int64)
-    two_chi = -(np.einsum("ij,jk,ik->i", pts, imat, pts) + pts @ kp)
-    assert not (two_chi & 1).any()
-    w = two_chi // 2
-    for v in range(n):
-        bit = 1 << v
-        idx = np.arange(1 << n)
-        hasbit = (idx & bit) != 0
-        w[hasbit] = np.maximum(w[hasbit], w[idx[hasbit] ^ bit])
-    signs = np.array([1 if bin(j).count("1") % 2 else -1 for j in range(1 << n)],
-                     dtype=np.int64)
-    return int((signs * w).sum())
+    if not l.is_integral():
+        raise MethodPreconditionFailed("cube sums need an integral exponent")
+    corners, imat, kp, own, signs = _corner_data(g)
+    x = np.array([int(c) for c in l.coords], dtype=np.int64)
+    ix = imat @ x
+    # 2 chi(x + c) = 2 chi(x) + 2 chi(c) - 2 (x, c)
+    two_chi = own - 2 * (corners @ ix) - (x @ ix + x @ kp)
+    if (two_chi & 1).any():
+        raise InternalDisagreement("chi not integral on integral points")
+    w = (two_chi // 2).reshape([2] * g.n)
+    for axis in range(g.n):
+        np.maximum.accumulate(w, axis=axis, out=w)
+    return int(signs @ w.reshape(-1))
 
 
 def swbar(g: PlumbingGraph) -> Fraction:
@@ -132,58 +107,85 @@ def _chi_box(g: PlumbingGraph, hi):
     imat = np.array(g.matrix, dtype=np.int64)
     kp = np.array(g.kpair, dtype=np.int64)
     two_chi = -(np.einsum("ij,jk,ik->i", pts, imat, pts) + pts @ kp)
-    assert not (two_chi & 1).any(), "chi not integral on integral points"
+    if (two_chi & 1).any():
+        raise InternalDisagreement("chi not integral on integral points")
     grid = (two_chi // 2).reshape([h + 1 for h in hi])
     g._cache[key] = grid
     return grid
 
 
-def _cube_sum(g: PlumbingGraph, lo, hi, skip_faces=()):
-    """Alternating weighted-cube sum over the rectangle R(lo, hi).
+def _box_sums(a, lo, skip):
+    """Per query row: the sum of a over the bases l >= lo, one short of the
+    top on every skipped axis.  The skipped top layers come off the suffix
+    sums of a by inclusion-exclusion."""
+    n = a.ndim
+    rev = (slice(None, None, -1),) * n
+    s = a[rev]
+    for axis in range(n):
+        s = np.add.accumulate(s, axis=axis)
+    s = s[rev]                               # s[l] = sum of a over [l, top]
+    cut = [v for v in range(n) if skip[:, v].any()]
+    on = _subset_bits(len(cut)).astype(bool)
+    idx = np.broadcast_to(lo, (len(on),) + lo.shape).copy()
+    factor = np.ones(idx.shape[:2], dtype=np.int64)
+    for i, v in enumerate(cut):
+        # corner at the top layer of v: subtracted where v is skipped, else unused
+        idx[on[:, i], :, v] = a.shape[v] - 1
+        factor[on[:, i]] *= -skip[:, v]
+    return (factor * s[tuple(np.moveaxis(idx, -1, 0))]).sum(axis=0)
 
-    skip_faces: drop every cube sitting inside the top face l_v = hi_v of
-    one of the listed coordinates (the modified-counting variant).
+
+def _add_weights(acc, w, live, start, sign, room, shifts):
+    """Add sign * W_J to acc at the bases of W_J, then recurse depth first
+    into every J + v with v >= start that some live query has room for."""
+    view = acc[tuple(map(slice, w.shape))]
+    if sign > 0:
+        view += w
+    else:
+        view -= w
+    for v in range(start, w.ndim):
+        nxt = live[room[live, v]]
+        if nxt.size:
+            # the cube (l, J + v) is the cubes (l, J) and (l + E_v, J)
+            keep, step = shifts[v]
+            _add_weights(acc, np.maximum(w[keep], w[step]), nxt, v + 1, -sign, room, shifts)
+
+
+def _cube_sums(g: PlumbingGraph, hi, queries):
+    """Alternating weighted-cube sums over R(lo, hi), one per query.
+
+    queries: (lo, skip_faces) pairs with lo >= 0.  Each sum runs over the
+    cubes (l, J) with lo <= l and l + E_J <= hi, signed (-1)^(|J|+1) and
+    weighted by the max of chi over their vertices; skip_faces drops every
+    cube sitting inside the top face l_v = hi_v of one of the listed
+    coordinates (the modified-counting variant).  Returns a list of ints.
+
+    The signed weight grids W_J are summed into one grid over [0, hi], W_J
+    at the bases l with l + E_J <= hi: a cube (l, J) with v in J never
+    sits in the top face of v, and zero-padding W_J there keeps both the
+    query boxes and the skipped faces the same for every J.
     """
     n = g.n
-    lo = list(map(int, lo))
-    hi = list(map(int, hi))
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0
+    hi = [int(h) for h in hi]
+    hi_arr = np.array(hi, dtype=np.int64)
+    lo = np.array([[int(c) for c in q[0]] for q in queries], dtype=np.int64).reshape(-1, n)
+    skip = np.zeros(lo.shape, dtype=np.int64)
+    for i, (_lo, faces) in enumerate(queries):
+        skip[i, list(faces)] = 1
+    totals = np.zeros(len(queries), dtype=np.int64)
+    # a query lying in a face it skips is empty: leave it out of the pass
+    live = np.flatnonzero((lo <= hi_arr - skip).all(axis=1))
+    if not live.size:
+        return totals.tolist()
+    room = lo < hi_arr                       # base range survives a step along v
+    shifts = [tuple(tuple(cut if a == v else slice(None) for a in range(n))
+                    for cut in (slice(None, -1), slice(1, None)))
+              for v in range(n)]
     grid = _chi_box(g, hi)
-    total = 0
-    for jmask in range(1 << n):
-        J = [v for v in range(n) if jmask >> v & 1]
-        sizes = [hi[v] - lo[v] + 1 - (1 if v in J else 0) for v in range(n)]
-        if any(s <= 0 for s in sizes):
-            continue
-        # bases l with lo <= l and l + E_J <= hi; weight = max chi over subcube
-        base_slices = [slice(lo[v], lo[v] + sizes[v]) for v in range(n)]
-        wgrid = None
-        for sub in range(1 << len(J)):
-            shift = [0] * n
-            for i, v in enumerate(J):
-                if sub >> i & 1:
-                    shift[v] = 1
-            sl = tuple(
-                slice(base_slices[v].start + shift[v], base_slices[v].stop + shift[v])
-                for v in range(n)
-            )
-            piece = grid[sl]
-            wgrid = piece if wgrid is None else np.maximum(wgrid, piece)
-        if skip_faces:
-            keep = np.ones_like(wgrid, dtype=bool)
-            for v in skip_faces:
-                if v in J:
-                    continue
-                # exclude bases sitting in the top face l_v = hi_v
-                idx = [slice(None)] * n
-                idx[v] = sizes[v] - 1
-                keep[tuple(idx)] = False
-            s = int(wgrid[keep].sum())
-        else:
-            s = int(wgrid.sum())
-        total += (1 if len(J) % 2 else -1) * s
-    return total
+    acc = np.zeros_like(grid)
+    _add_weights(acc, grid, live, 0, -1, room, shifts)
+    totals[live] = _box_sums(acc, lo[live], skip[live])
+    return totals.tolist()
 
 
 def swbar_via_cubes(g: PlumbingGraph, b: LatticeVector) -> Fraction:
@@ -196,11 +198,12 @@ def swbar_via_cubes(g: PlumbingGraph, b: LatticeVector) -> Fraction:
         raise NotGorenstein("anticanonical cycle is not integral")
     if not (b.is_integral() and b >= g.ZK):
         raise NotGorenstein("bound must be an integral cycle above the anticanonical one")
-    return Fraction(_cube_sum(g, [0] * g.n, [int(c) for c in b.coords]))
+    return Fraction(_cube_sums(g, b.coords, [([0] * g.n, ())])[0])
 
 
 def _swbar_cube_faces(g: PlumbingGraph):
-    """Cube-sum value of every induced subgraph, as rectangle-face sums.
+    """Cube-sum value of every induced subgraph, as rectangle-face sums,
+    with its subset Moebius transform (None above the sweep cap).
 
     Entry for a subset S of vertices is the invariant sum of the subgraph
     on S, computed inside the big rectangle: bases run over the face where
@@ -209,11 +212,11 @@ def _swbar_cube_faces(g: PlumbingGraph):
     key = "swbar_cube_faces"
     if key not in g._cache:
         zk = [int(c) for c in g.ZK.coords]
-        vals = {}
-        for mask in range(1 << g.n):
-            lo = [0 if mask >> v & 1 else zk[v] for v in range(g.n)]
-            vals[mask] = Fraction(_cube_sum(g, lo, zk))
-        g._cache[key] = vals
+        faces = _cube_sums(g, zk, [
+            ([0 if mask >> v & 1 else zk[v] for v in range(g.n)], ())
+            for mask in range(1 << g.n)])
+        mob = _mobius(faces, g.n) if g.n <= SUBSET_SWEEP_CAP else None
+        g._cache[key] = (faces, mob)
     return g._cache[key]
 
 
@@ -229,31 +232,25 @@ def gorenstein_pc(g: PlumbingGraph, subset) -> Fraction:
     if not g.numerically_gorenstein:
         raise NotGorenstein("anticanonical cycle is not integral")
     subset = tuple(sorted(set(subset)))
-    assert subset, "subset must be nonempty"
+    if not subset:
+        raise MethodPreconditionFailed("subset must be nonempty")
     zk = [int(c) for c in g.ZK.coords]
 
     via_series = series.counting_reduced(g, g.ZK, subset)
 
-    via_cubes = 0
-    for r in range(1, len(subset) + 1):
-        for J in itertools.combinations(subset, r):
-            via_cubes += (-1) ** (r + 1) * _cube_sum(g, [0] * g.n, zk, skip_faces=J)
+    skips = [J for r in range(1, len(subset) + 1)
+             for J in itertools.combinations(subset, r)]
+    sums = _cube_sums(g, zk, [([0] * g.n, J) for J in skips])
+    via_cubes = sum((-1) ** (len(J) + 1) * s for J, s in zip(skips, sums))
 
-    faces = _swbar_cube_faces(g)
-    full_mask = (1 << g.n) - 1
-    rest_mask = 0
-    for v in range(g.n):
-        if v not in subset:
-            rest_mask |= 1 << v
-    via_chain = faces[full_mask] - faces[rest_mask]
+    faces, mob = _swbar_cube_faces(g)
+    rest_mask = sum(1 << v for v in range(g.n) if v not in subset)
+    via_chain = faces[-1] - faces[rest_mask]
 
     # Moebius route: s(S) = sum_{T subset S} (-1)^{|S - T|} swbar(T); the chain
     # value must reappear as the sum of s over subsets meeting the deleted set
-    if g.n <= SUBSET_SWEEP_CAP:
-        mob = _mobius(faces, g.n)
-        via_mobius = sum(
-            mob[m] for m in range(1 << g.n) if m & ~rest_mask & full_mask
-        )
+    if mob is not None:
+        via_mobius = sum(mob[m] for m in range(1 << g.n) if m & ~rest_mask)
         if via_mobius != via_chain:
             raise InternalDisagreement(
                 "moebius chain %s vs face difference %s" % (via_mobius, via_chain)
@@ -269,7 +266,7 @@ def gorenstein_pc(g: PlumbingGraph, subset) -> Fraction:
 
 def _mobius(vals, n):
     """Subset Moebius transform: out[S] = sum_{T <= S} (-1)^{|S-T|} vals[T]."""
-    out = dict(vals)
+    out = list(vals)
     for v in range(n):
         bit = 1 << v
         for m in range(1 << n):
@@ -278,25 +275,26 @@ def _mobius(vals, n):
     return out
 
 
-def s_function(g: PlumbingGraph, cap: int = SUBSET_SWEEP_CAP) -> Fraction:
+def s_function(g: PlumbingGraph, cap: int = SUBSET_SWEEP_CAP) -> dict:
     """The unique function on induced subgraphs whose subset sums give swbar.
 
-    Computed by the defining recursion over all induced subgraphs (with
-    counting-measured invariants), then cross-checked against the Moebius
-    expansion; vanishing on disconnected subgraphs and the re-summation to
-    the whole-graph value are asserted along the way.
+    Returns {vertex mask: value} over every induced subgraph; the whole
+    graph sits at mask 2^n - 1.  Computed by the defining recursion over
+    all induced subgraphs (with counting-measured invariants), then
+    cross-checked against the Moebius expansion; the re-summation to the
+    whole-graph value and vanishing on disconnected subgraphs are checked
+    along the way.
     """
     if g.n > cap:
         raise SubsetCapExceeded("%d vertices exceed the %d-vertex sweep cap" % (g.n, cap))
     n = g.n
-    sw_sub = {}
+    sw_sub = []
+    disconnected = []
     for mask in range(1 << n):
-        deleted = [v for v in range(n) if not (mask >> v & 1)]
-        if mask == 0:
-            sw_sub[mask] = Fraction(0)
-        else:
-            sw_sub[mask] = swbar_forest(g.components_minus(deleted))
-    mob = _mobius(sw_sub, n)
+        forest = g.components_minus([v for v in range(n) if not mask >> v & 1])
+        sw_sub.append(swbar_forest(forest))
+        if len(forest) >= 2:
+            disconnected.append(mask)
     # defining recursion, independently of the transform
     s_rec = {}
     for mask in range(1 << n):
@@ -306,26 +304,13 @@ def s_function(g: PlumbingGraph, cap: int = SUBSET_SWEEP_CAP) -> Fraction:
             acc += s_rec[sub]
             sub = (sub - 1) & mask
         s_rec[mask] = sw_sub[mask] - acc
+    if sum(s_rec.values(), Fraction(0)) != sw_sub[-1]:
+        raise InternalDisagreement("subgraph values do not re-sum to the whole graph")
+    mob = _mobius(sw_sub, n)
     for mask in range(1 << n):
         if s_rec[mask] != mob[mask]:
             raise InternalDisagreement("Moebius and recursive values differ at %d" % mask)
-    # vanishing on disconnected induced subgraphs
-    for mask in range(1 << n):
-        deleted = [v for v in range(n) if not (mask >> v & 1)]
-        if mask and len(g.components_minus(deleted)) >= 2:
-            if s_rec[mask] != 0:
-                raise InternalDisagreement("nonzero value on a disconnected subgraph")
-    full = (1 << n) - 1
-    assert sum(s_rec.values(), Fraction(0)) == sw_sub[full]
-    return s_rec[full]
-
-
-def subgraph_s_values(g: PlumbingGraph, cap: int = SUBSET_SWEEP_CAP):
-    """Moebius values of every induced subgraph (counting-measured)."""
-    if g.n > cap:
-        raise SubsetCapExceeded("%d vertices exceed the %d-vertex sweep cap" % (g.n, cap))
-    sw_sub = {}
-    for mask in range(1 << g.n):
-        deleted = [v for v in range(g.n) if not (mask >> v & 1)]
-        sw_sub[mask] = swbar_forest(g.components_minus(deleted)) if mask else Fraction(0)
-    return _mobius(sw_sub, g.n)
+    for mask in disconnected:
+        if s_rec[mask] != 0:
+            raise InternalDisagreement("nonzero value on a disconnected subgraph")
+    return s_rec

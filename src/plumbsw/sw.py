@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BoundViolation,
     ComponentNotRational,
     DepthNotStable,
     FitInconsistent,
@@ -98,10 +99,19 @@ def sweep_hist(g, depth):
     return g._cache[key]
 
 
+def _check_depth(depth):
+    # deep_demands(depth) puts every deep point inside -K + int(cone), where
+    # counting and the quadratic law agree, exactly when depth >= 0
+    if depth < 0:
+        raise MethodPreconditionFailed("depth %d is negative; deep points need depth >= 0"
+                                       % depth)
+
+
 def _check_sum_region(g, x):
     # the counting/quadratic correspondence needs x in -K + interior of the cone
     for v in range(g.n):
-        assert (x + g.K).pair_vertex(v) < 0, "deep point not inside -K + int(cone)"
+        if (x + g.K).pair_vertex(v) >= 0:
+            raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
 
 
 def _sw_from_counting(g, class_key, depth, q_value=None):
@@ -114,6 +124,7 @@ def _sw_from_counting(g, class_key, depth, q_value=None):
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
     """SwRecord for every class, via one enumeration per depth."""
+    _check_depth(depth)
     key = ("sw_table", depth)
     if key not in g._cache:
         everything = tuple(range(g.n))
@@ -158,6 +169,7 @@ def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     computed alone, deepening automatically if two consecutive depths
     disagree (which would mean the chosen point was not deep enough).
     """
+    _check_depth(depth)
     ck = h if isinstance(h, tuple) else g.class_key(h)
     cached = g._cache.get(("sw", ck))
     if cached is not None:
@@ -377,6 +389,7 @@ def verify_counting_surgery(g, h, subset, depths=(DEFAULT_DEPTH, DEFAULT_DEPTH +
     Full count at a deep point of the class = reduced count there + the
     full counts of every component of T - subset at the restricted point.
     """
+    _check_depth(min(depths, default=0))
     ck = h if isinstance(h, tuple) else g.class_key(h)
     subset = tuple(sorted(set(subset)))
     if not subset:
@@ -419,6 +432,7 @@ def counting_surgery_sweep(g, subset, depths=(DEFAULT_DEPTH, DEFAULT_DEPTH + 1))
     Returns {class_key: [(full, reduced, component_sum), ...]} per depth,
     raising IdentityViolation on the first failing class.
     """
+    _check_depth(min(depths, default=0))
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise MethodPreconditionFailed("subset must be nonempty")

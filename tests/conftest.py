@@ -6,12 +6,13 @@ value is computed by a second route before being asserted.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from plumbsw import fixtures as fx
-from plumbsw.graph import PlumbingGraph, validate
+from plumbsw.graph import LatticeVector, PlumbingGraph, validate
 
 
 @pytest.fixture(scope="session")
@@ -121,3 +122,43 @@ def brute_counting(g: PlumbingGraph, x, subset, strict_all=False):
             if any(coords[w] < xs[w] for w in subset):
                 total += z
     return total
+
+
+@dataclass(frozen=True)
+class Cube:
+    """Lattice cube: base point plus a subset of unit directions."""
+
+    base: LatticeVector
+    directions: tuple
+
+    def vertices(self):
+        g = self.base.graph
+        for sub in itertools.chain.from_iterable(
+            itertools.combinations(self.directions, r)
+            for r in range(len(self.directions) + 1)
+        ):
+            step = g.zero()
+            for v in sub:
+                step = step + g.basis_vector(v)
+            yield self.base + step
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    lo: LatticeVector
+    hi: LatticeVector
+
+    def contains_cube(self, cube: Cube) -> bool:
+        return all(self.lo <= p and p <= self.hi for p in cube.vertices())
+
+
+def weight(g: PlumbingGraph, l: LatticeVector, directions) -> int:
+    """max of chi over the vertices of the cube (l, directions)."""
+    assert l.is_integral()
+    best = None
+    for p in Cube(l, tuple(directions)).vertices():
+        c = g.chi(p)
+        assert c.denominator == 1
+        if best is None or c > best:
+            best = c
+    return int(best)

@@ -19,9 +19,9 @@ from plumbsw.graph import class_of, dual_restrict, is_rational, minimal_s_rep
 
 @contextmanager
 def budget(name, seconds):
-    t0 = time.time()
+    t0 = time.perf_counter()
     yield
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     line = "[PASS] %s (%.2fs < %ds)" % (name, dt, seconds)
     print(line)
     assert dt < seconds, "%s exceeded its %ds budget (%.2fs)" % (name, seconds, dt)

@@ -68,6 +68,17 @@ def test_sw_e8(corpus_dir, capsys):
     assert inv["sw"] == "-1/1" and inv["normalized_r"] == "0/1"
 
 
+def test_sw_rejects_negative_depth(corpus_dir, capsys):
+    graph = str(corpus_dir / "gor_star.pg")
+    code, rep = run_json(["sw", "--graph", graph, "--class", "all", "--depth", "-3"],
+                         capsys)
+    assert code == 2 and rep["error"] == "MethodPreconditionFailed"
+    code, rep = run_json(["sw", "--graph", graph, "--class", "all"], capsys)
+    assert code == 0
+    trivial = [inv for inv in rep["invariants"] if set(inv["class"]) == {"0"}]
+    assert [inv["sw"] for inv in trivial] == ["-3/2"]
+
+
 def test_surgery_auto_class(corpus_dir, capsys):
     code, rep = run_json(
         ["surgery", "--graph", str(corpus_dir / "ex_graph2.pg"), "--class", "auto",

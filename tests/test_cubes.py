@@ -1,22 +1,24 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import Cube, Rectangle, weight
 from plumbsw import fixtures as fx
 from plumbsw import series
 from plumbsw.cubes import (
-    Cube,
-    Rectangle,
+    _cube_sums,
     coefficient_via_cubes,
     gorenstein_pc,
     s_function,
-    subgraph_s_values,
     swbar,
     swbar_forest,
     swbar_via_cubes,
-    weight,
 )
 from plumbsw.errors import NotGorenstein, SubsetCapExceeded
 from plumbsw.graph import chi
@@ -98,13 +100,13 @@ def test_gorenstein_pc_ade_all_zero(e8):
 
 
 def test_s_function_single_vertex(single3):
-    assert s_function(single3) == swbar(single3)
+    assert s_function(single3)[1] == swbar(single3)
 
 
 def test_s_function_e8_resummation(e8):
-    # computed inside s_function: defining recursion, Moebius agreement,
+    # checked inside s_function: defining recursion, Moebius agreement,
     # disconnected vanishing, and the total re-summation
-    assert s_function(e8) == s_function(e8)
+    assert set(s_function(e8).values()) == {0}
 
 
 def test_s_function_cap():
@@ -115,7 +117,7 @@ def test_s_function_cap():
 
 def test_hsum_chain(gor_star):
     g = gor_star
-    mob = subgraph_s_values(g)
+    mob = s_function(g)
     for J in [(0,), (1,), (0, 1), (2, 3)]:
         jm = 0
         for v in J:
@@ -140,3 +142,122 @@ def test_showcase1_is_gorenstein_and_agrees(showcase1):
     assert swbar(g) == -rec.normalized_r
     for subset in [(1,), (0, 2), (3, 4, 5, 6)]:
         gorenstein_pc(g, subset)
+
+
+# -- the cube-sum kernel against the weight oracle -------------------------------
+
+# chi evaluations the oracle may spend on one rectangle: a box with m_v
+# bases along v holds prod(3 m_v - 2) cube vertices
+ORACLE_CHI_CAP = 300
+
+
+def _brute_cube_sum(g, lo, hi, skip):
+    total = 0
+    for base in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        l = g.vector(base)
+        for r in range(g.n + 1):
+            for J in itertools.combinations(range(g.n), r):
+                if any(base[v] == hi[v] for v in J):
+                    continue                     # l + E_J leaves the rectangle
+                if any(base[v] == hi[v] for v in skip if v not in J):
+                    continue                     # inside a skipped top face
+                total += (-1) ** (len(J) + 1) * weight(g, l, J)
+    return total
+
+
+def _pin_until_cheap(lo, hi):
+    """Pin the longest sides of R(lo, hi) to their top face until the
+    oracle's cost fits; a face lo stays a face lo."""
+    lo = list(lo)
+    while True:
+        cost = 1
+        for a, b in zip(lo, hi):
+            cost *= max(3 * (b - a + 1) - 2, 1)
+        if cost <= ORACLE_CHI_CAP:
+            return lo
+        v = max(range(len(lo)), key=lambda v: hi[v] - lo[v])
+        lo[v] = hi[v]
+
+
+@pytest.fixture(scope="module")
+def kernel_graphs(a2, gor_star, showcase1):
+    return [a2, fx.ade_graph("D4"), gor_star, showcase1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_cube_sums_match_weight_oracle(kernel_graphs, data):
+    g = data.draw(st.sampled_from(kernel_graphs))
+    n = g.n
+    extra = data.draw(st.sampled_from([0, 1]))
+    hi = [int(c) + extra for c in g.ZK.coords]            # Z_K or Z_K + sum E_v
+    queries = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            mask = data.draw(st.integers(0, (1 << n) - 1))
+            lo = [0 if mask >> v & 1 else hi[v] for v in range(n)]
+        else:
+            lo = [data.draw(st.integers(0, h)) for h in hi]
+        lo = _pin_until_cheap(lo, hi)
+        # skipping a face the box has room below keeps some cubes and drops
+        # others; skipping one it lies in empties the box
+        free = [v for v in range(n) if lo[v] < hi[v]]
+        skip = data.draw(st.sets(st.sampled_from(free))) if free else set()
+        skip |= data.draw(st.sets(st.integers(0, n - 1), max_size=1))
+        queries.append((lo, tuple(sorted(skip))))
+    v = data.draw(st.integers(0, n - 1))
+    queries.append(([hi[v] + 1 if w == v else 0 for w in range(n)], ()))  # lo > hi
+    want = [_brute_cube_sum(g, lo, hi, skip) for lo, skip in queries]
+    assert _cube_sums(g, hi, queries) == want
+    assert want[-1] == 0
+
+
+# -- typed guards survive python -O -----------------------------------------------
+
+GUARDS_UNDER_O = r"""
+from fractions import Fraction
+from plumbsw import cubes, fixtures as fx, sw
+from plumbsw.errors import (BoundViolation, InternalDisagreement,
+                            MethodPreconditionFailed)
+
+def expect(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return
+    raise SystemExit("%s did not raise %s" % (fn.__name__, exc.__name__))
+
+assert False, "run with python -O: every guard below must hold without asserts"
+g = fx.gorenstein_star()
+half = g.vector([Fraction(1, 2)] + [0] * (g.n - 1))
+expect(MethodPreconditionFailed, cubes.coefficient_via_cubes, g, half)
+expect(MethodPreconditionFailed, cubes.gorenstein_pc, g, ())
+expect(MethodPreconditionFailed, sw.sw_table, g, -1)
+expect(MethodPreconditionFailed, sw.sw_invariant, g, g.zero(), -3)
+expect(MethodPreconditionFailed, sw.verify_counting_surgery, g, g.zero(), (0,), (1, -1))
+expect(BoundViolation, sw._check_sum_region, g, g.zero())
+# an odd shift of (K, E_v) makes chi half-integral on the lattice
+odd = fx.gorenstein_star()
+odd.kpair = tuple(k + 1 for k in odd.kpair)
+expect(InternalDisagreement, cubes.coefficient_via_cubes, odd, odd.zero())
+expect(InternalDisagreement, cubes.swbar_via_cubes, odd, odd.ZK)
+# subgraph values that do not vanish on the empty subgraph cannot re-sum
+cubes.swbar_forest = lambda forest: Fraction(1)
+try:
+    cubes.s_function(fx.string_graph([-2, -2]))
+except InternalDisagreement as exc:
+    if "re-sum" not in str(exc):
+        raise SystemExit("s_function failed another check first: %s" % exc)
+else:
+    raise SystemExit("s_function did not check its re-summation")
+print("ok")
+"""
+
+
+def test_typed_guards_survive_optimized_mode():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", GUARDS_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "ok"

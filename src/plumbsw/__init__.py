@@ -48,7 +48,6 @@ from .graph import (
 )
 from .series import (
     CountingQuery,
-    SeriesTerm,
     SupportStore,
     UnivariateTable,
     coefficient,
@@ -57,7 +56,6 @@ from .series import (
     counting_modified,
     counting_reduced,
     support_bound_report,
-    support_terms,
 )
 from .sw import (
     QuasiPoly,

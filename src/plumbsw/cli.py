@@ -19,17 +19,13 @@ from .errors import IdentityViolation, PlumbingError
 from .graph import (
     LatticeVector,
     class_of,
+    fraction_text,
     is_rational,
     load_graph,
     minimal_s_rep,
 )
 
 SCHEMA = 1
-
-
-def _q(x):
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def _vec(x: LatticeVector):
@@ -163,7 +159,7 @@ def _cmd_pc(args):
             "class": _vec(g.rep_from_key(ck)),
             "subset": [g.ids[v] for v in subset],
             "method": args.method,
-            "pc": _q(val),
+            "pc": fraction_text(val),
         })
     return {"periodic_constants": out}
 
@@ -172,17 +168,21 @@ def _cmd_surgery(args):
     g = load_graph(args.graph)
     subset = _parse_subset(g, args.subset)
     depths = tuple(int(t) for t in args.depth.split(","))
-    reports = []
-    for ck in _parse_classes(g, args.class_sel, args.graph):
-        if args.mode == "counting":
-            rep = sw.verify_counting_surgery(g, ck, subset, depths=depths)
-        elif args.mode == "pc":
-            rep = sw.verify_pc_surgery(g, ck, subset)
-        elif args.mode in ("red1", "red2"):
-            rep = sw.reduction_rational(g, ck, subset, which=args.mode)
-        else:
-            raise PlumbingError("unknown surgery mode %r" % args.mode)
-        reports.append(rep.as_dict())
+    if args.mode == "counting" and args.class_sel == "all":
+        # one histogram pass of the parent graph per depth for every class
+        reps = list(sw.counting_surgery_sweep(g, subset, depths=depths).values())
+    else:
+        reps = []
+        for ck in _parse_classes(g, args.class_sel, args.graph):
+            if args.mode == "counting":
+                reps.append(sw.verify_counting_surgery(g, ck, subset, depths=depths))
+            elif args.mode == "pc":
+                reps.append(sw.verify_pc_surgery(g, ck, subset))
+            elif args.mode in ("red1", "red2"):
+                reps.append(sw.reduction_rational(g, ck, subset, which=args.mode))
+            else:
+                raise PlumbingError("unknown surgery mode %r" % args.mode)
+    reports = [rep.as_dict() for rep in reps]
     return {"reports": reports, "verified": all(r["verdict"] == "equal" for r in reports)}
 
 
@@ -193,9 +193,9 @@ def _cmd_gorenstein(args):
     b = g.ZK
     return {
         "subset": [g.ids[v] for v in subset],
-        "pc": _q(pc),
-        "swbar_cubes": _q(cubes.swbar_via_cubes(g, b)),
-        "swbar_counting": _q(cubes.swbar(g)),
+        "pc": fraction_text(pc),
+        "swbar_cubes": fraction_text(cubes.swbar_via_cubes(g, b)),
+        "swbar_counting": fraction_text(cubes.swbar(g)),
     }
 
 

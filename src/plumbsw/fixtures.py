@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from .errors import NotNegativeDefinite
-from .graph import PlumbingGraph, emit_graph_text, is_rational, validate
+from .graph import PlumbingGraph, emit_graph_text, fraction_text, is_rational, validate
 
 
 def showcase_two_nodes() -> PlumbingGraph:
@@ -134,11 +134,6 @@ def random_trees(seed: int, count: int, **kw):
     return [random_tree(rng, **kw) for _ in range(count)]
 
 
-def _fq(x):
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def corpus():
     """The named fixture list: (name, graph, distinguished class or None)."""
     entries = [
@@ -177,7 +172,7 @@ def write_corpus(outdir) -> dict:
             "rational": is_rational(g),
         }
         if cls is not None:
-            entry["showcase_class"] = [_fq(c) for c in cls]
+            entry["showcase_class"] = [fraction_text(c) for c in cls]
         manifest["fixtures"].append(entry)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     DuplicateVertex,
+    InternalDisagreement,
     IterationCapExceeded,
     NotATree,
     NotInDualLattice,
@@ -62,6 +63,12 @@ def _invert_fraction(m):
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return [row[n:] for row in a]
+
+
+def fraction_text(x):
+    """Exact "p/q" text of a rational; the denominator is always written."""
+    f = Fraction(x)
+    return "%d/%d" % (f.numerator, f.denominator)
 
 
 class LatticeVector:
@@ -217,8 +224,9 @@ class PlumbingGraph:
         self.dual_basis_columns = tuple(
             tuple(inv_neg[w][v] for w in range(self.n)) for v in range(self.n)
         )
-        for col in self.dual_basis_columns:
-            assert all(c > 0 for c in col), "dual basis entry not strictly positive"
+        # the enumeration is finite only because every entry is positive
+        if not all(c > 0 for col in self.dual_basis_columns for c in col):
+            raise InternalDisagreement("dual basis entry not strictly positive")
         # d * E*_v has integer coordinates (adjugate of -I).
         self.dual_scaled = tuple(
             tuple(int(c * self.det) for c in col) for col in self.dual_basis_columns
@@ -337,7 +345,10 @@ class PlumbingGraph:
                         seen.add(nxt)
                         frontier.append(nxt)
             reps = sorted(seen)
-            assert len(reps) == d, "closure found %d classes, det is %d" % (len(reps), d)
+            if len(reps) != d:
+                # the all-class sweeps rely on this table covering H
+                raise InternalDisagreement(
+                    "closure found %d classes, det is %d" % (len(reps), d))
             self._class_table = ClassTable(self, reps)
         return self._class_table
 

@@ -26,7 +26,13 @@ from .errors import (
     NotInDualLattice,
     PlumbingError,
 )
-from .graph import LatticeVector, PlumbingGraph, connected_closure
+from .graph import (
+    LatticeVector,
+    PlumbingGraph,
+    _det_fraction,
+    _invert_fraction,
+    connected_closure,
+)
 
 
 def _sign_binom(m, b):
@@ -170,14 +176,14 @@ def _iter_batches(g: PlumbingGraph, envelope):
     yield from rec(0, tuple([0] * n), 1)
 
 
-def _iter_chunks(g: PlumbingGraph, envelope, chunk_rows=1 << 16):
-    """Concatenate enumeration batches into large chunks for consumers."""
+def _iter_chunks(g: PlumbingGraph, envelope):
+    """Concatenate enumeration batches into chunks of at least 2^16 rows."""
     pend_c, pend_z, size = [], [], 0
     for coords, z in _iter_batches(g, envelope):
         pend_c.append(coords)
         pend_z.append(z)
         size += len(coords)
-        if size >= chunk_rows:
+        if size >= 1 << 16:
             yield np.concatenate(pend_c, axis=0), np.concatenate(pend_z)
             pend_c, pend_z, size = [], [], 0
     if size:
@@ -254,58 +260,55 @@ def _tally(acc, idx, z):
 
 
 def single_histogram(g: PlumbingGraph, class_key, thr):
-    """Bitmask histogram for one class at one threshold.
-
-    Entry beta holds the coefficient sum over support points in the class
-    whose set of coordinates strictly below thr is exactly beta.
-    """
-    n = g.n
-    envelope = [t if t > 0 else None for t in thr]
-    acc = np.zeros(1 << n, dtype=np.int64)
-    target = np.array(class_key, dtype=np.int64)
-    thr_arr = np.array(thr, dtype=np.int64)
-    weights = _bit_weights(n)
-    for coords, z in _iter_chunks(g, envelope):
-        mask = (coords % g.det == target).all(axis=1)
-        if not mask.any():
-            continue
-        c = coords[mask]
-        beta = ((c < thr_arr) * weights).sum(axis=1)
-        _tally(acc, beta, z[mask])
-    return acc
+    """Bitmask histogram for one class at one threshold (see sweep_histogram)."""
+    return sweep_histogram(g, {tuple(class_key): thr})[tuple(class_key)]
 
 
 def sweep_histogram(g: PlumbingGraph, thr_by_class):
-    """Bitmask histograms for every class at class-specific thresholds.
+    """Bitmask histograms for the requested classes at class-specific thresholds.
 
-    One enumeration answers the counting function of every class and every
-    coordinate subset at once.  Returns dict class_key -> histogram.
+    Entry beta of a class's histogram holds the coefficient sum over the
+    support points in the class whose set of coordinates strictly below the
+    class's threshold is exactly beta.  One enumeration, up to the largest
+    threshold of each coordinate, answers every requested class and every
+    coordinate subset at once; points of other classes are skipped.  Entry
+    beta = 0 depends on that envelope, and no counting query reads it.
+    Returns dict class_key -> histogram.
     """
     n, d = g.n, g.det
     keys = sorted(thr_by_class)
-    if d ** n >= 2 ** 62:
-        # radix encoding would overflow; fall back to per-class streams
-        return {k: single_histogram(g, k, thr_by_class[k]) for k in keys}
-    pow_vec = np.array([d ** i for i in range(n)], dtype=np.int64)
-    radix = np.array([sum(k[i] * d ** i for i in range(n)) for k in keys], dtype=np.int64)
-    order = np.argsort(radix)
-    radix_sorted = radix[order]
-    Xmat = np.array([thr_by_class[keys[j]] for j in order], dtype=np.int64)
-    envelope = [int(Xmat[:, w].max()) for w in range(n)]
-    envelope = [e if e > 0 else None for e in envelope]
+    thr = np.array([thr_by_class[k] for k in keys], dtype=np.int64)
+    envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
+    key_arr = np.array(keys, dtype=np.int64)
+    if d ** n < 2 ** 62:
+        # radix code of a class, most significant coordinate first, so the
+        # sorted keys have increasing codes
+        pow_vec = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+        codes = key_arr @ pow_vec
+
+        def rows_of(mods):
+            enc = mods @ pow_vec
+            rows = np.minimum(np.searchsorted(codes, enc), len(keys) - 1)
+            return np.where(codes[rows] == enc, rows, -1)
+    else:
+        # the radix code would overflow int64: one equality mask per class
+        def rows_of(mods):
+            rows = np.full(len(mods), -1, dtype=np.int64)
+            for j, key in enumerate(key_arr):
+                rows[(mods == key).all(axis=1)] = j
+            return rows
+
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = _bit_weights(n)
     for coords, z in _iter_chunks(g, envelope):
-        enc = coords % d @ pow_vec
-        rows = np.searchsorted(radix_sorted, enc)
-        if not ((rows < len(keys)) & (radix_sorted[np.minimum(rows, len(keys) - 1)] == enc)).all():
-            raise PlumbingError("support point in a class without a threshold")
-        thr = Xmat[rows]
-        beta = ((coords < thr) * weights).sum(axis=1)
-        _tally(acc, rows * width + beta, z)
+        rows = rows_of(coords % d)
+        keep = rows >= 0
+        rows, coords = rows[keep], coords[keep]
+        beta = ((coords < thr[rows]) * weights).sum(axis=1)
+        _tally(acc, rows * width + beta, z[keep])
     acc = acc.reshape(len(keys), width)
-    return {keys[j]: acc[r] for r, j in zip(range(len(keys)), order)}
+    return {k: acc[j] for j, k in enumerate(keys)}
 
 
 def hist_not_ge(hist, subset) -> int:
@@ -330,45 +333,17 @@ def hist_all_lt(hist, subset) -> int:
 
 
 @dataclass(frozen=True)
-class SeriesTerm:
-    """One monomial of the series: cone exponent and integer coefficient."""
-
-    exponent: LatticeVector
-    coefficient: int
-
-
-def support_terms(g: PlumbingGraph, below: LatticeVector):
-    """The finitely many series terms whose exponent is not above the cut.
-
-    Yields SeriesTerm objects in no particular order; coefficients are
-    nonzero by construction and every exponent is a nonnegative integer
-    combination of the dual basis.
-    """
-    thr = below.scaled()
-    envelope = [t if t > 0 else None for t in thr]
-    thr_arr = np.array(thr, dtype=np.int64)
-    d = g.det
-    for coords, z in _iter_batches(g, envelope):
-        keep = (coords < thr_arr).any(axis=1)
-        zz = z[keep]
-        for row, zv in zip(coords[keep], zz):
-            yield SeriesTerm(
-                LatticeVector(g, [Fraction(int(c), d) for c in row]), int(zv))
-
-
-@dataclass(frozen=True)
 class CountingQuery:
     """A counting request: mode 'full', 'reduced', or 'modified'.
 
     threshold is the cut point x; subset is the coordinate set for reduced
     and modified modes (ignored for full).  The summation class is the
-    class of the threshold; an explicit class_rep, when given, must agree.
+    class of the threshold.
     """
 
     mode: str
     threshold: LatticeVector
     subset: tuple = ()
-    class_rep: LatticeVector = None
 
 
 def counting(g: PlumbingGraph, query: CountingQuery) -> int:
@@ -383,9 +358,6 @@ def counting(g: PlumbingGraph, query: CountingQuery) -> int:
         raise InfeasibleQuery("threshold belongs to a different graph")
     if not x.in_dual_lattice():
         raise NotInDualLattice("threshold is not in the dual lattice")
-    key = g.class_key(x)
-    if query.class_rep is not None and g.class_key(query.class_rep) != key:
-        raise InfeasibleQuery("threshold class differs from the requested class")
     thr = x.scaled()
     if query.mode == "full":
         subset = tuple(range(g.n))
@@ -395,31 +367,16 @@ def counting(g: PlumbingGraph, query: CountingQuery) -> int:
             raise InfeasibleQuery("%s mode needs a nonempty coordinate subset" % query.mode)
     else:
         raise InfeasibleQuery("unknown mode %r" % query.mode)
+    if query.mode == "modified" and any(thr[w] <= 0 for w in subset):
+        return 0
 
+    # a zero threshold outside the subset sets no bit there and adds nothing
+    # to the enumeration envelope
+    cut = [thr[w] if w in subset else 0 for w in range(g.n)]
+    hist = single_histogram(g, g.class_key(x), cut)
     if query.mode == "modified":
-        if any(thr[w] <= 0 for w in subset):
-            return 0
-        envelope = [thr[w] if w in subset and thr[w] > 0 else None for w in range(g.n)]
-    else:
-        envelope = [thr[w] if w in subset and thr[w] > 0 else None for w in range(g.n)]
-        if all(e is None for e in envelope):
-            return 0
-
-    n = g.n
-    acc = np.zeros(1 << n, dtype=np.int64)
-    target = np.array(key, dtype=np.int64)
-    thr_arr = np.array(thr, dtype=np.int64)
-    wts = _bit_weights(n)
-    for coords, z in _iter_chunks(g, envelope):
-        mask = (coords % g.det == target).all(axis=1)
-        if not mask.any():
-            continue
-        c = coords[mask]
-        beta = ((c < thr_arr) * wts).sum(axis=1)
-        _tally(acc, beta, z[mask])
-    if query.mode == "modified":
-        return hist_all_lt(acc, subset)
-    return hist_not_ge(acc, subset)
+        return hist_all_lt(hist, subset)
+    return hist_not_ge(hist, subset)
 
 
 def counting_full(g, x):
@@ -581,11 +538,10 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
         return True
 
     # restricted dual-basis matrix: columns E*_v|_{v2}, v in v2 (scaled)
-    k = len(v2)
     M2 = [[Fraction(cols[v][w], d) for v in v2] for w in v2]
-    det2 = _det2(M2)
-    if det2 == 0:
+    if _det_fraction(M2) == 0:
         raise BoundViolation("restricted dual basis is singular on %s" % (v2,))
+    M2_inv = _invert_fraction(M2)
 
     comps = g.components_minus(v2)
     v1 = {}
@@ -611,7 +567,7 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
             skipped += 1
             continue
         rhs = [Fraction(p, d) for p in proj]
-        r = _solve2(M2, rhs)
+        r = [sum(a * b for a, b in zip(row, rhs)) for row in M2_inv]
         if any(c < 0 for c in r):
             raise BoundViolation("negative dual decomposition at %s" % (proj,))
         for j, u in enumerate(v2):
@@ -635,37 +591,3 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
         passed=True,
     )
 
-
-def _det2(m):
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] / a[c][c]
-                for j in range(c, n):
-                    a[r][j] -= f * a[c][j]
-    return det
-
-
-def _solve2(m, rhs):
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[p] = a[p], a[c]
-        piv = a[c][c]
-        a[c] = [x / piv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[i][n] for i in range(n)]

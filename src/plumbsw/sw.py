@@ -36,6 +36,7 @@ from .graph import (
     PlumbingGraph,
     class_of,
     dual_restrict,
+    fraction_text,
     is_rational,
     minimal_s_rep,
 )
@@ -70,16 +71,11 @@ class SwRecord:
     def as_dict(self):
         return {
             "class": [str(c) for c in self.rep.coords],
-            "sw": _q(self.sw),
-            "normalized_r": _q(self.normalized_r),
-            "normalized_s": _q(self.normalized_s),
+            "sw": fraction_text(self.sw),
+            "normalized_r": fraction_text(self.normalized_r),
+            "normalized_s": fraction_text(self.normalized_s),
             "depth": self.depth_used,
         }
-
-
-def _q(x):
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def _deep_vectors(g, depth):
@@ -285,7 +281,7 @@ def univariate_step(g, v) -> int:
     return m
 
 
-def pc_univariate_fit(g, h, v, window_pad: int = 1) -> Fraction:
+def pc_univariate_fit(g, h, v) -> Fraction:
     """One-variable route: interpolate the counting function of the series
     reduced to t_v on an arithmetic progression of cuts and read off the
     constant term at the representative cut.
@@ -299,7 +295,7 @@ def pc_univariate_fit(g, h, v, window_pad: int = 1) -> Fraction:
     step = m * d                              # progression step, scaled units
     rh_v = ck[v]                              # scaled v-coordinate of r_h
     deep_v = g.deep_point(ck, DEFAULT_DEPTH + 1).scaled()[v]
-    b0 = (deep_v - rh_v) // step + 1 + window_pad
+    b0 = (deep_v - rh_v) // step + 2      # one step beyond the first cut past the deep point
     gammas = [rh_v + (b0 + j) * step for j in range(5)]
     cache_key = ("uni_table", v)
     table = g._cache.get(cache_key)
@@ -363,8 +359,8 @@ class SurgeryReport:
             "kind": self.kind,
             "class": [str(c) for c in self.graph.rep_from_key(self.class_key).coords],
             "subset": [self.graph.ids[v] for v in self.subset],
-            "lhs": _q(self.lhs),
-            "rhs": _q(self.rhs),
+            "lhs": fraction_text(self.lhs),
+            "rhs": fraction_text(self.rhs),
             "items": self.items,
             "verdict": "equal" if self.equal else "violated",
             "method": self.method,
@@ -382,105 +378,88 @@ def _raise_if_violated(report):
     return report
 
 
-def verify_counting_surgery(g, h, subset, depths=(DEFAULT_DEPTH, DEFAULT_DEPTH + 1),
-                            raise_on_violation=True) -> SurgeryReport:
-    """Counting-level surgery identity at every scheduled depth.
+def _component_counts(forest, xs):
+    """Full counts of every component of T - subset at the restriction of
+    each point of xs: one list of per-component counts per point.
+
+    One point streams one histogram per component.  Several points share
+    one support store per component, with the restrictions of all points
+    obtained in one integer matrix product (restriction is the adjugate
+    acting on the pairing vector).
+    """
+    if len(xs) == 1:
+        return [[series.counting_full(comp, dual_restrict(xs[0], comp, origin))
+                 for comp, origin in forest]]
+    n = xs[0].graph.n
+    # pairing matrix rows: (x, E_w), integers since x is in the dual lattice
+    pairs = np.array([[int(x.pair_vertex(w)) for w in range(n)] for x in xs],
+                     dtype=np.int64)
+    counts = [[] for _ in xs]
+    for comp, origin in forest:
+        dmat = np.array(comp.dual_scaled, dtype=np.int64)     # [v][w] = d_i (E*_v)_w
+        y_scaled = -pairs[:, list(origin)] @ dmat             # rows: d_i-scaled j*(x)
+        env = [int(e) if e > 0 else None for e in y_scaled.max(axis=0)]
+        store = series.SupportStore(comp, env)
+        everything = tuple(range(comp.n))
+        for row, y in zip(counts, y_scaled.tolist()):
+            row.append(store.sum_not_ge(tuple(c % comp.det for c in y), y, everything))
+    return counts
+
+
+def _counting_surgery(g, keys, subset, depths):
+    """Counting-level surgery identity for the given classes at every depth.
 
     Full count at a deep point of the class = reduced count there + the
     full counts of every component of T - subset at the restricted point.
+    Full and reduced counts of all classes come from one histogram pass
+    per depth, the cached all-classes one when every class is asked.
+    Returns {class_key: SurgeryReport}, raising IdentityViolation on the
+    first failing class.
     """
     _check_depth(min(depths, default=0))
-    ck = h if isinstance(h, tuple) else g.class_key(h)
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise MethodPreconditionFailed("subset must be nonempty")
     forest = g.components_minus(subset)
-    items = []
-    equal = True
-    lhs_last = rhs_last = Fraction(0)
     everything = tuple(range(g.n))
+    items = {ck: [] for ck in keys}
     for depth in depths:
-        x = g.deep_point(ck, depth)
-        hist = series.single_histogram(g, ck, x.scaled())
-        lhs = series.hist_not_ge(hist, everything)
-        reduced = series.hist_not_ge(hist, subset)
-        comp_vals = []
-        for comp, origin in forest:
-            y = dual_restrict(x, comp, origin)
-            comp_vals.append(series.counting_full(comp, y))
-        rhs = reduced + sum(comp_vals)
-        items.append({
-            "depth": depth,
-            "full": lhs,
-            "reduced": reduced,
-            "components": comp_vals,
-        })
-        equal = equal and lhs == rhs
-        lhs_last, rhs_last = Fraction(lhs), Fraction(rhs)
-    report = SurgeryReport("counting", g, ck, subset, lhs_last, rhs_last,
-                           items, equal, depths=tuple(depths))
-    return _raise_if_violated(report) if raise_on_violation else report
+        if len(keys) == g.det:
+            deeps, hists = _deep_vectors(g, depth), sweep_hist(g, depth)
+        else:
+            deeps = {ck: g.deep_point(ck, depth) for ck in keys}
+            hists = series.sweep_histogram(g, {ck: x.scaled() for ck, x in deeps.items()})
+        comps = _component_counts(forest, [deeps[ck] for ck in keys])
+        for ck, comp_vals in zip(keys, comps):
+            items[ck].append({
+                "depth": depth,
+                "full": series.hist_not_ge(hists[ck], everything),
+                "reduced": series.hist_not_ge(hists[ck], subset),
+                "components": comp_vals,
+            })
+    reports = {}
+    for ck, its in items.items():
+        sides = [(it["full"], it["reduced"] + sum(it["components"])) for it in its]
+        lhs, rhs = sides[-1] if sides else (0, 0)
+        reports[ck] = _raise_if_violated(SurgeryReport(
+            "counting", g, ck, subset, Fraction(lhs), Fraction(rhs), its,
+            all(a == b for a, b in sides), depths=tuple(depths)))
+    return reports
+
+
+def verify_counting_surgery(g, h, subset,
+                            depths=(DEFAULT_DEPTH, DEFAULT_DEPTH + 1)) -> SurgeryReport:
+    """Counting-level surgery identity for the class of h at every depth."""
+    ck = h if isinstance(h, tuple) else g.class_key(h)
+    return _counting_surgery(g, [ck], subset, depths)[ck]
 
 
 def counting_surgery_sweep(g, subset, depths=(DEFAULT_DEPTH, DEFAULT_DEPTH + 1)):
-    """Counting-level surgery identity for every class at once.
-
-    Reuses the cached all-classes histograms of the graph; component
-    counts are evaluated against per-component support stores, with the
-    restrictions of all deep points obtained in one integer matrix
-    product (restriction is the adjugate acting on the pairing vector).
-    Returns {class_key: [(full, reduced, component_sum), ...]} per depth,
-    raising IdentityViolation on the first failing class.
-    """
-    _check_depth(min(depths, default=0))
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
-    forest = g.components_minus(subset)
-    everything = tuple(range(g.n))
-    keys = g.classes().reps_scaled
-    out = {ck: [] for ck in keys}
-    for depth in depths:
-        hists = sweep_hist(g, depth)
-        deeps = _deep_vectors(g, depth)
-        # pairing matrix rows: (x_ck, E_w), integers since x is in the dual lattice
-        pairs = np.array(
-            [[int(deeps[ck].pair_vertex(w)) for w in range(g.n)] for ck in keys],
-            dtype=np.int64,
-        )
-        comp_data = []
-        for comp, origin in forest:
-            dmat = np.array(comp.dual_scaled, dtype=np.int64)     # [v][w] = d_i (E*_v)_w
-            y_scaled = -pairs[:, list(origin)] @ dmat             # rows: d_i-scaled j*(x)
-            env = [int(e) if e > 0 else None for e in y_scaled.max(axis=0)]
-            store = series.SupportStore(comp, env)
-            ykeys = y_scaled % comp.det
-            comp_data.append((comp, store, y_scaled, ykeys))
-        for idx, ck in enumerate(keys):
-            full = series.hist_not_ge(hists[ck], everything)
-            reduced = series.hist_not_ge(hists[ck], subset)
-            comp_sum = 0
-            for comp, store, y_scaled, ykeys in comp_data:
-                comp_sum += store.sum_not_ge(
-                    tuple(int(c) for c in ykeys[idx]),
-                    [int(c) for c in y_scaled[idx]],
-                    tuple(range(comp.n)),
-                )
-            out[ck].append((full, reduced, comp_sum))
-            if full != reduced + comp_sum:
-                report = SurgeryReport(
-                    "counting", g, ck, subset, Fraction(full),
-                    Fraction(reduced + comp_sum),
-                    [{"depth": depth, "full": full, "reduced": reduced,
-                      "component_sum": comp_sum}],
-                    False, depths=(depth,))
-                raise IdentityViolation(
-                    "counting surgery failed for class %s subset %s at depth %d"
-                    % (ck, subset, depth), report)
-    return out
+    """Counting-level surgery identity for every class: {class_key: SurgeryReport}."""
+    return _counting_surgery(g, g.classes().reps_scaled, subset, depths)
 
 
-def verify_pc_surgery(g, h, subset, raise_on_violation=True) -> SurgeryReport:
+def verify_pc_surgery(g, h, subset) -> SurgeryReport:
     """Invariant-level surgery identity with an independently measured pc.
 
     normalized(T) = sum over components of normalized(component at the
@@ -513,17 +492,17 @@ def verify_pc_surgery(g, h, subset, raise_on_violation=True) -> SurgeryReport:
         y = dual_restrict(r, comp, origin)
         t = component_term(comp, y)
         items.append({"component": [comp.ids[i] for i in range(comp.n)],
-                      "term": _q(t)})
+                      "term": fraction_text(t)})
         total += t
     lhs = rec.normalized_r
     rhs = total - pc
-    items.append({"pc": _q(pc), "method": method})
+    items.append({"pc": fraction_text(pc), "method": method})
     report = SurgeryReport("pc", g, ck, subset, lhs, rhs, items,
                            lhs == rhs, method=method)
-    return _raise_if_violated(report) if raise_on_violation else report
+    return _raise_if_violated(report)
 
 
-def reduction_rational(g, h, subset, which="red1", raise_on_violation=True) -> SurgeryReport:
+def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
     """Reductions valid when every component of T - subset is rational.
 
     red1: normalized(T at r_h) = -pc + sum of chi corrections, the
@@ -560,16 +539,16 @@ def reduction_rational(g, h, subset, which="red1", raise_on_violation=True) -> S
             ok = ok and term == corr
             items.append({
                 "component": [comp.ids[i] for i in range(comp.n)],
-                "chi_correction": _q(corr),
-                "measured_term": _q(term),
+                "chi_correction": fraction_text(corr),
+                "measured_term": fraction_text(term),
             })
             chi_sum += corr
         lhs = rec.normalized_r
         rhs = -pc + chi_sum
-        items.append({"pc": _q(pc)})
+        items.append({"pc": fraction_text(pc)})
         report = SurgeryReport("red1", g, ck, subset, lhs, rhs,
                                items, ok and lhs == rhs)
-        return _raise_if_violated(report) if raise_on_violation else report
+        return _raise_if_violated(report)
 
     if which == "red2":
         s_h, delta = minimal_s_rep(g, r)
@@ -583,8 +562,8 @@ def reduction_rational(g, h, subset, which="red1", raise_on_violation=True) -> S
         finite = Fraction(series.counting_reduced(g, s_h, subset))
         q_at_delta = qp.evaluate(delta)
         pc_tail = q_at_delta - finite
-        items.append({"cut": "delta", "finite_part": _q(finite),
-                      "pc_tail": _q(pc_tail)})
+        items.append({"cut": "delta", "finite_part": fraction_text(finite),
+                      "pc_tail": fraction_text(pc_tail)})
         # component vanishing: restriction commutes with taking minimal
         # cone representatives, and rational pieces normalize to zero there
         for comp, origin in forest:
@@ -596,12 +575,12 @@ def reduction_rational(g, h, subset, which="red1", raise_on_violation=True) -> S
             items.append({
                 "component": [comp.ids[i] for i in range(comp.n)],
                 "restriction_is_minimal": minimal_ok,
-                "measured_term": _q(term),
+                "measured_term": fraction_text(term),
             })
         lhs = rec.normalized_s
         rhs = -finite - pc_tail
         report = SurgeryReport("red2", g, ck, subset, lhs, rhs,
                                items, ok and lhs == rhs)
-        return _raise_if_violated(report) if raise_on_violation else report
+        return _raise_if_violated(report)
 
     raise MethodPreconditionFailed("unknown reduction %r" % which)

@@ -88,6 +88,35 @@ def test_surgery_auto_class(corpus_dir, capsys):
     assert rep["reports"][0]["verdict"] == "equal"
 
 
+# gor_star compares four of its 16 classes: one class alone takes about 1.5 s
+@pytest.mark.parametrize("name, classes", [("ex_graph2", range(16)),
+                                           ("gor_star", (0, 5, 10, 15))],
+                         ids=["ex_graph2", "gor_star"])
+def test_surgery_counting_class_all_matches_single_classes(
+        corpus_dir, capsys, monkeypatch, name, classes):
+    from plumbsw import series
+
+    path = str(corpus_dir / (name + ".pg"))
+    ids = load_graph(path).ids
+    walks = []
+    enumerate_batches = series._iter_batches
+
+    def counted(g, envelope):
+        walks.append(g.ids)
+        return enumerate_batches(g, envelope)
+
+    monkeypatch.setattr(series, "_iter_batches", counted)
+    argv = ["surgery", "--graph", path, "--subset", "leaves", "--mode", "counting"]
+    code, rep = run_json(argv + ["--class", "all"], capsys)
+    assert code == 0 and rep["verified"] is True
+    assert len(rep["reports"]) == 16
+    assert walks.count(ids) == 2            # the parent graph once per depth
+    for k in classes:
+        code, one = run_json(argv + ["--class", "#%d" % k], capsys)
+        assert code == 0
+        assert one["reports"] == [rep["reports"][k]]
+
+
 def test_pc_verb(corpus_dir, capsys):
     code, rep = run_json(
         ["pc", "--graph", str(corpus_dir / "ex_graph2.pg"), "--class", "#0",

@@ -216,7 +216,7 @@ def test_cube_sums_match_weight_oracle(kernel_graphs, data):
 
 GUARDS_UNDER_O = r"""
 from fractions import Fraction
-from plumbsw import cubes, fixtures as fx, sw
+from plumbsw import cubes, fixtures as fx, graph, sw
 from plumbsw.errors import (BoundViolation, InternalDisagreement,
                             MethodPreconditionFailed)
 
@@ -241,6 +241,15 @@ odd = fx.gorenstein_star()
 odd.kpair = tuple(k + 1 for k in odd.kpair)
 expect(InternalDisagreement, cubes.coefficient_via_cubes, odd, odd.zero())
 expect(InternalDisagreement, cubes.swbar_via_cubes, odd, odd.ZK)
+# a class table that misses classes would let the all-class sweeps skip points
+short = fx.gorenstein_star()
+short.dual_scaled = tuple(tuple(0 for _ in col) for col in short.dual_scaled)
+expect(InternalDisagreement, short.classes)
+# a dual basis entry that is not positive would make the enumeration infinite
+invert = graph._invert_fraction
+graph._invert_fraction = lambda m: [[-x for x in row] for row in invert(m)]
+expect(InternalDisagreement, fx.gorenstein_star)
+graph._invert_fraction = invert
 # subgraph values that do not vanish on the empty subgraph cannot re-sum
 cubes.swbar_forest = lambda forest: Fraction(1)
 try:

@@ -11,12 +11,15 @@ from plumbsw.series import (
     CountingQuery,
     SupportStore,
     UnivariateTable,
+    _iter_batches,
     coefficient,
     counting,
     counting_full,
     counting_modified,
     counting_reduced,
+    single_histogram,
     support_bound_report,
+    sweep_histogram,
 )
 from conftest import brute_counting, brute_series
 
@@ -119,9 +122,6 @@ def test_query_validation(showcase2):
     g = showcase2
     x = g.vector([1, 0, 0, 0, 0])
     with pytest.raises(InfeasibleQuery):
-        counting(g, CountingQuery("full", x, class_rep=g.rep_from_key(
-            g.classes().reps_scaled[1])))
-    with pytest.raises(InfeasibleQuery):
         counting(g, CountingQuery("reduced", x, ()))
     with pytest.raises(InfeasibleQuery):
         counting(g, CountingQuery("nonsense", x))
@@ -218,17 +218,50 @@ def test_support_bound_report_rejects_disconnected(showcase1):
 
 
 def test_support_terms_match_coefficient(showcase2):
-    from plumbsw.series import support_terms
-
+    # the enumeration yields every support point below the cut once, with
+    # its coefficient
     g = showcase2
-    cut = g.vector([1] * g.n)
+    thr = g.vector([1] * g.n).scaled()
     seen = {}
-    for term in support_terms(g, cut):
-        assert term.coefficient != 0
-        a = term.exponent.dual_coords()
-        assert all(c.denominator == 1 and c >= 0 for c in a)
-        assert coefficient(g, term.exponent) == term.coefficient
-        key = term.exponent.coords
-        assert key not in seen          # each exponent appears once
-        seen[key] = term.coefficient
+    for coords, z in _iter_batches(g, thr):
+        for row, zv in zip(coords.tolist(), z.tolist()):
+            if all(c >= t for c, t in zip(row, thr)):
+                continue
+            exponent = g.vector([Fraction(c, g.det) for c in row])
+            assert zv != 0
+            a = exponent.dual_coords()
+            assert all(c.denominator == 1 and c >= 0 for c in a)
+            assert coefficient(g, exponent) == zv
+            assert exponent.coords not in seen      # each exponent appears once
+            seen[exponent.coords] = zv
     assert seen[g.zero().coords] == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fx.string_graph([-3, -2, -2, -3, -2, -2, -3, -2, -2]),   # det 163
+    lambda: fx.string_graph([-2, -2, -2, -3, -4, -2, -2, -2, -2]),   # det 124
+    fx.showcase_star,
+], ids=["masks_163", "masks_124", "radix"])
+def test_sweep_matches_single_histograms(build):
+    # the class sweep, over all classes or some, agrees with one-class
+    # histograms on both of its ways of telling classes apart: a radix code
+    # of the class, or one equality mask per class where the code would
+    # overflow int64 (d^9 >= 2^62 for d = 163 and 124).  With d = 124 no
+    # single coordinate names the class, as it does for the prime 163.
+    g = build()
+    assert (g.det ** g.n >= 2 ** 62) == (g.n == 9)
+    keys = g.classes().reps_scaled
+    for depth in (1, 2):
+        thr = {k: g.deep_point(k, depth).scaled() for k in keys}
+        swept = sweep_histogram(g, thr)
+        assert sorted(swept) == sorted(keys)
+        some = sweep_histogram(g, {k: thr[k] for k in keys[::3]})
+        assert sorted(some) == sorted(keys[::3])
+        for k in keys:
+            # entry 0 holds the points below the threshold on no coordinate;
+            # it depends on the enumeration envelope and no query reads it
+            single = single_histogram(g, k, thr[k])
+            assert single[1:].any()
+            assert (swept[k][1:] == single[1:]).all()
+            if k in some:
+                assert (some[k][1:] == single[1:]).all()

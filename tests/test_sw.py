@@ -116,12 +116,11 @@ def test_counting_surgery_showcases(showcase1, showcase2):
 
 def test_counting_surgery_sweep_matches_single(showcase2):
     out = counting_surgery_sweep(showcase2, (1, 3))
+    assert list(out) == showcase2.classes().reps_scaled
     for key in showcase2.classes().reps_scaled[:4]:
         rep = verify_counting_surgery(showcase2, key, (1, 3))
-        for i, (full, reduced, comp_sum) in enumerate(out[key]):
-            assert full == rep.items[i]["full"]
-            assert reduced == rep.items[i]["reduced"]
-            assert comp_sum == sum(rep.items[i]["components"])
+        assert out[key].as_dict() == rep.as_dict()
+        assert [it["depth"] for it in out[key].items] == [1, 2]
 
 
 def test_counting_surgery_random_trees():

@@ -9,6 +9,7 @@ validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from .graph import (
     fraction_text,
     is_rational,
     load_graph,
-    minimal_s_rep,
 )
 
 SCHEMA = 1
@@ -264,10 +264,15 @@ def build_parser():
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # parsing leaves the parser as it was, so one per process serves every run
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -35,9 +35,15 @@ from .errors import (
 )
 from .graph import LatticeVector, PlumbingGraph
 from . import series
-from .sw import sw_invariant
+from .sw import DEFAULT_DEPTH, _single_class_record, quad_term
 
 SUBSET_SWEEP_CAP = 12
+
+
+def _ints(x: LatticeVector):
+    """Integer E-coordinates of an integral vector."""
+    d = x.graph.det
+    return [c // d for c in x.scaled()]
 
 
 def _subset_bits(k):
@@ -71,7 +77,7 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
     if not l.is_integral():
         raise MethodPreconditionFailed("cube sums need an integral exponent")
     corners, imat, kp, own, signs = _corner_data(g)
-    x = np.array([int(c) for c in l.coords], dtype=np.int64)
+    x = np.array(_ints(l), dtype=np.int64)
     ix = imat @ x
     # 2 chi(x + c) = 2 chi(x) + 2 chi(c) - 2 (x, c)
     two_chi = own - 2 * (corners @ ix) - (x @ ix + x @ kp)
@@ -84,9 +90,11 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
 
 
 def swbar(g: PlumbingGraph) -> Fraction:
-    """-sw(trivial class) - (K^2 + |V|)/8, measured by counting."""
-    rec = sw_invariant(g, tuple([0] * g.n))
-    return -rec.sw - Fraction(g.K.pair(g.K) + g.n, 8)
+    """-sw(trivial class) - (K^2 + |V|)/8, measured by counting.
+
+    Only the trivial class is computed, never the all-classes table."""
+    rec = _single_class_record(g, (0,) * g.n, DEFAULT_DEPTH)
+    return -rec.sw - quad_term(g, g.zero())
 
 
 def swbar_forest(forest) -> Fraction:
@@ -198,7 +206,7 @@ def swbar_via_cubes(g: PlumbingGraph, b: LatticeVector) -> Fraction:
         raise NotGorenstein("anticanonical cycle is not integral")
     if not (b.is_integral() and b >= g.ZK):
         raise NotGorenstein("bound must be an integral cycle above the anticanonical one")
-    return Fraction(_cube_sums(g, b.coords, [([0] * g.n, ())])[0])
+    return Fraction(_cube_sums(g, _ints(b), [([0] * g.n, ())])[0])
 
 
 def _swbar_cube_faces(g: PlumbingGraph):
@@ -211,7 +219,7 @@ def _swbar_cube_faces(g: PlumbingGraph):
     """
     key = "swbar_cube_faces"
     if key not in g._cache:
-        zk = [int(c) for c in g.ZK.coords]
+        zk = _ints(g.ZK)
         faces = _cube_sums(g, zk, [
             ([0 if mask >> v & 1 else zk[v] for v in range(g.n)], ())
             for mask in range(1 << g.n)])
@@ -234,7 +242,7 @@ def gorenstein_pc(g: PlumbingGraph, subset) -> Fraction:
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise MethodPreconditionFailed("subset must be nonempty")
-    zk = [int(c) for c in g.ZK.coords]
+    zk = _ints(g.ZK)
 
     via_series = series.counting_reduced(g, g.ZK, subset)
 

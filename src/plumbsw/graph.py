@@ -5,8 +5,12 @@ associated intersection lattice L is freely generated by the vertex
 classes E_v with pairing matrix I (Euler numbers on the diagonal, 1 for
 every edge).  Everything downstream -- the dual basis E*_v, the
 discriminant group H = L'/L, the canonical cycle K, the distinguished
-class representatives r_h and s_h -- is derived here with exact rational
-arithmetic.  No floats anywhere.
+class representatives r_h and s_h -- is derived here with exact integer
+arithmetic.  With d = det(-I), the dual lattice L' lies in (1/d)L, so
+vectors are kept as d-scaled integer coordinates, and -I is eliminated once
+by fraction-free integer (Bareiss) elimination, which yields the minors,
+the determinant and the adjugate together.  Rationals are built only for
+values handed back to the caller; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .errors import (
     DuplicateVertex,
     InternalDisagreement,
     IterationCapExceeded,
+    MethodPreconditionFailed,
     NotATree,
     NotInDualLattice,
     NotNegativeDefinite,
@@ -27,42 +32,40 @@ from .errors import (
 LAUFER_CAP = 10 ** 6
 
 
-def _det_fraction(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for j in range(c, n):
-                    a[r][j] -= f * a[c][j]
-    return det
+def _bareiss(m):
+    """Fraction-free integer elimination of a symmetric integer matrix.
 
-
-def _invert_fraction(m):
-    """Exact inverse of a nonsingular matrix over Q."""
+    Bareiss's recurrence without pivoting: every division is exact and the
+    k-th pivot is the k-th leading principal minor.  Returns (minors, adj):
+    the leading principal minors up to the first one that is not positive,
+    and the adjugate when all of them are positive (the matrix is then
+    positive definite by Sylvester's criterion), else None.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[p] = a[p], a[c]
-        piv = a[c][c]
-        a[c] = [x / piv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    minors = []
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        minors.append(piv)
+        if piv <= 0:
+            return minors, None
+        rk = a[k]
+        for ri in a[k + 1:]:
+            f = ri[k]
+            ri[k] = 0
+            for j in range(k + 1, 2 * n):
+                ri[j] = (piv * ri[j] - f * rk[j]) // prev
+        prev = piv
+    # back substitution for adj = det * m^-1; its entries are integers, so
+    # every division below is exact
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        ri = a[i]
+        for c in range(n):
+            t = prev * ri[n + c] - sum(ri[j] * adj[j][c] for j in range(i + 1, n))
+            adj[i][c] = t // ri[i]
+    return minors, adj
 
 
 def fraction_text(x):
@@ -71,81 +74,117 @@ def fraction_text(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-class LatticeVector:
-    """Element of L (x) Q in E-coordinates, tied to its graph.
+def _whole(values, d):
+    """d-scaled coordinates as a tuple of ints; each must be a whole number."""
+    out = []
+    for s in values:
+        if s.denominator != 1:
+            raise NotInDualLattice("coordinate %s is not in (1/%d)Z" % (Fraction(s) / d, d))
+        out.append(int(s.numerator))
+    return tuple(out)
 
-    Supports the partial order of coordinatewise comparison and the exact
-    membership tests for L and L'.
+
+def _from_scaled(graph, scaled):
+    """The vector with the given d-scaled integer coordinates (a tuple)."""
+    x = object.__new__(LatticeVector)
+    x.graph = graph
+    x._s = scaled
+    return x
+
+
+class LatticeVector:
+    """Element of (1/d)L in E-coordinates, tied to its graph (d = det(-I)).
+
+    Stored as its d-scaled integer coordinates, so all arithmetic, pairings
+    and membership tests are integer work; rationals are built only by
+    `coords` and the pairing values handed back.  Every element of the dual
+    lattice L' lies in (1/d)L.  Supports the partial order of coordinatewise
+    comparison and the exact membership tests for L and L'.
     """
 
-    __slots__ = ("graph", "coords")
+    __slots__ = ("graph", "_s")
 
     def __init__(self, graph, coords):
+        d = graph.det
         self.graph = graph
-        self.coords = tuple(Fraction(c) for c in coords)
+        self._s = _whole([c * d if isinstance(c, int) else Fraction(c) * d
+                          for c in coords], d)
+
+    @property
+    def coords(self):
+        """Rational E-coordinates, for output."""
+        d = self.graph.det
+        return tuple(Fraction(c, d) for c in self._s)
 
     def __eq__(self, other):
         return (
             isinstance(other, LatticeVector)
             and self.graph is other.graph
-            and self.coords == other.coords
+            and self._s == other._s
         )
 
     def __hash__(self):
-        return hash((id(self.graph), self.coords))
+        return hash((id(self.graph), self._s))
+
+    def _same_graph(self, other):
+        if other.graph is not self.graph:
+            raise MethodPreconditionFailed("vectors belong to different graphs")
 
     def __add__(self, other):
-        assert self.graph is other.graph
-        return LatticeVector(self.graph, [a + b for a, b in zip(self.coords, other.coords)])
+        self._same_graph(other)
+        return _from_scaled(self.graph, tuple(a + b for a, b in zip(self._s, other._s)))
 
     def __sub__(self, other):
-        assert self.graph is other.graph
-        return LatticeVector(self.graph, [a - b for a, b in zip(self.coords, other.coords)])
+        self._same_graph(other)
+        return _from_scaled(self.graph, tuple(a - b for a, b in zip(self._s, other._s)))
 
     def __neg__(self):
-        return LatticeVector(self.graph, [-a for a in self.coords])
+        return _from_scaled(self.graph, tuple(-a for a in self._s))
 
     def __rmul__(self, k):
-        return LatticeVector(self.graph, [k * a for a in self.coords])
+        return _from_scaled(self.graph, _whole([k * a for a in self._s], self.graph.det))
 
     def __ge__(self, other):
-        return all(a >= b for a, b in zip(self.coords, other.coords))
+        self._same_graph(other)
+        return all(a >= b for a, b in zip(self._s, other._s))
 
     def __le__(self, other):
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        self._same_graph(other)
+        return all(a <= b for a, b in zip(self._s, other._s))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self._s)
 
     def pair(self, other):
         """Intersection pairing (self, other)."""
-        return self.graph.pair(self.coords, other.coords)
+        self._same_graph(other)
+        d = self.graph.det
+        return Fraction(self.graph.scaled_pair(self._s, other._s), d * d)
+
+    def scaled_pairings(self):
+        """d (self, E_v) for every vertex v, as ints."""
+        return self.graph.scaled_pairings(self._s)
 
     def pair_vertex(self, v):
         """(self, E_v) for a vertex index."""
-        return self.graph.pair_vertex(self.coords, v)
+        return Fraction(self.scaled_pairings()[v], self.graph.det)
 
     def dual_coords(self):
         """Coefficients a with self = sum_v a_v E*_v, i.e. a = -I x."""
-        g = self.graph
-        return tuple(-g.pair_vertex(self.coords, v) for v in range(g.n))
+        d = self.graph.det
+        return tuple(Fraction(-q, d) for q in self.scaled_pairings())
 
     def in_dual_lattice(self):
-        return all(self.pair_vertex(v).denominator == 1 for v in range(self.graph.n))
+        d = self.graph.det
+        return not any(q % d for q in self.scaled_pairings())
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        d = self.graph.det
+        return not any(c % d for c in self._s)
 
     def scaled(self):
-        """d-scaled integer coordinates; requires membership in (1/d)L."""
-        d = self.graph.det
-        out = []
-        for c in self.coords:
-            s = c * d
-            if s.denominator != 1:
-                raise NotInDualLattice("coordinate %s is not in (1/%d)Z" % (c, d))
-            out.append(int(s))
-        return tuple(out)
+        """d-scaled integer coordinates."""
+        return self._s
 
     def __repr__(self):
         return "LatticeVector(%s)" % (", ".join(str(c) for c in self.coords))
@@ -162,13 +201,10 @@ class ClassTable:
 
     @property
     def reps(self):
-        d = self.graph.det
-        return [LatticeVector(self.graph, [Fraction(c, d) for c in r])
-                for r in self.reps_scaled]
+        return [_from_scaled(self.graph, r) for r in self.reps_scaled]
 
     def rep_vector(self, i):
-        d = self.graph.det
-        return LatticeVector(self.graph, [Fraction(c, d) for c in self.reps_scaled[i]])
+        return _from_scaled(self.graph, self.reps_scaled[i])
 
     def __len__(self):
         return self.order
@@ -217,28 +253,27 @@ class PlumbingGraph:
             for i in range(self.n)
         )
         self._validate()
-        neg = [[-x for x in row] for row in self.matrix]
-        self.det = int(_det_fraction(neg))           # det(-I) = |H|
-        inv_neg = _invert_fraction(neg)
-        # E*_v is column v of (-I)^{-1}; entries are strictly positive.
-        self.dual_basis_columns = tuple(
-            tuple(inv_neg[w][v] for w in range(self.n)) for v in range(self.n)
+        # Sylvester: -I is positive definite iff every leading minor is positive
+        minors, adjugate = _bareiss([[-x for x in row] for row in self.matrix])
+        if adjugate is None:
+            raise NotNegativeDefinite(len(minors), minors[-1])
+        self.det = d = minors[-1]                    # det(-I) = |H|
+        # d * E*_v is column v of the adjugate of -I: integer coordinates
+        self.dual_scaled = tuple(
+            tuple(adjugate[w][v] for w in range(self.n)) for v in range(self.n)
         )
         # the enumeration is finite only because every entry is positive
-        if not all(c > 0 for col in self.dual_basis_columns for c in col):
+        if not all(c > 0 for col in self.dual_scaled for c in col):
             raise InternalDisagreement("dual basis entry not strictly positive")
-        # d * E*_v has integer coordinates (adjugate of -I).
-        self.dual_scaled = tuple(
-            tuple(int(c * self.det) for c in col) for col in self.dual_basis_columns
-        )
-        # canonical cycle: (K + E_v, E_v) + 2 = 0  <=>  (K, E_v) = -2 - e_v
-        rhs = [Fraction(-2 - e) for e in self.eulers]
-        kc = [sum(inv_neg[i][j] * (-rhs[j]) for j in range(self.n)) for i in range(self.n)]
-        self.K = LatticeVector(self, kc)
-        for v in range(self.n):
-            assert self.K.pair_vertex(v) + 2 + self.eulers[v] == 0
-        self.ZK = -self.K
+        # canonical cycle: (K + E_v, E_v) + 2 = 0  <=>  (K, E_v) = -2 - e_v,
+        # so K = (-I)^{-1} (2 + e) = sum_v (2 + e_v) E*_v
         self.kpair = tuple(-2 - e for e in self.eulers)   # (K, E_v), always integers
+        kc = tuple(sum(-k * col[w] for k, col in zip(self.kpair, self.dual_scaled))
+                   for w in range(self.n))
+        if self.scaled_pairings(kc) != tuple(d * k for k in self.kpair):
+            raise InternalDisagreement("canonical cycle fails the adjunction relations")
+        self.K = _from_scaled(self, kc)
+        self.ZK = -self.K
         self.numerically_gorenstein = self.K.is_integral()
         self.nodes = tuple(v for v in range(self.n) if self.delta[v] >= 3)
         self.ends = tuple(v for v in range(self.n) if self.delta[v] <= 1)
@@ -268,11 +303,6 @@ class PlumbingGraph:
                     stack.append(w)
         if len(seen) != self.n:
             raise NotATree("graph is disconnected")
-        neg = [[-x for x in row] for row in self.matrix]
-        for k in range(1, self.n + 1):
-            minor = _det_fraction([row[:k] for row in neg[:k]])
-            if minor <= 0:
-                raise NotNegativeDefinite(k, minor)
 
     # -- basic lattice arithmetic -------------------------------------------
 
@@ -280,42 +310,42 @@ class PlumbingGraph:
         return LatticeVector(self, coords)
 
     def zero(self):
-        return LatticeVector(self, [0] * self.n)
+        return _from_scaled(self, (0,) * self.n)
 
     def basis_vector(self, v):
-        return LatticeVector(self, [int(i == v) for i in range(self.n)])
+        return _from_scaled(self, tuple(self.det if i == v else 0 for i in range(self.n)))
 
     def dual_vector(self, v):
         """E*_v as a lattice vector."""
-        return LatticeVector(self, self.dual_basis_columns[v])
+        return _from_scaled(self, self.dual_scaled[v])
 
-    def pair(self, x, y):
-        m = self.matrix
-        return sum(
-            x[i] * sum(m[i][j] * y[j] for j in range(self.n) if m[i][j])
-            for i in range(self.n)
-        )
+    def scaled_pair(self, x, y):
+        """d^2 (x, y) from the d-scaled coordinate tuples of x and y."""
+        total = sum(e * a * b for e, a, b in zip(self.eulers, x, y))
+        for i, j in self.edges:
+            total += x[i] * y[j] + x[j] * y[i]
+        return total
 
-    def pair_vertex(self, x, v):
-        s = self.eulers[v] * x[v]
-        for w in self.adj[v]:
-            s += x[w]
-        return s
+    def scaled_pairings(self, x):
+        """d (x, E_v) for every vertex v, from the d-scaled coordinates of x."""
+        return tuple(e * c + sum(x[w] for w in nb)
+                     for e, c, nb in zip(self.eulers, x, self.adj))
 
     def chi(self, x):
         """Riemann-Roch expression chi(x) = -(x, x + K)/2."""
-        xk = sum(c * k for c, k in zip(x.coords, self.kpair))
-        return -(x.pair(x) + xk) / 2
+        d = self.det
+        s = x.scaled()
+        xk = sum(c * k for c, k in zip(s, self.kpair))          # d (x, K)
+        return Fraction(-(self.scaled_pair(s, s) + d * xk), 2 * d * d)
 
     def from_dual_coords(self, a):
         """sum_v a_v E*_v as a lattice vector."""
-        coords = [Fraction(0)] * self.n
-        for v, av in enumerate(a):
+        s = [0] * self.n
+        for av, col in zip(a, self.dual_scaled):
             if av:
-                col = self.dual_basis_columns[v]
                 for w in range(self.n):
-                    coords[w] += av * col[w]
-        return LatticeVector(self, coords)
+                    s[w] += av * col[w]
+        return _from_scaled(self, _whole(s, self.det))
 
     # -- classes --------------------------------------------------------------
 
@@ -326,8 +356,7 @@ class PlumbingGraph:
         return tuple(c % self.det for c in x.scaled())
 
     def rep_from_key(self, key):
-        d = self.det
-        return LatticeVector(self, [Fraction(c, d) for c in key])
+        return _from_scaled(self, tuple(key))
 
     def classes(self):
         """H enumerated by closure of {[E*_v]} under addition, sorted."""
@@ -369,7 +398,7 @@ class PlumbingGraph:
         for _ in range(cap):
             v = next((v for v in range(self.n) if q[v] > lim[v]), None)
             if v is None:
-                return LatticeVector(self, [Fraction(c, d) for c in x])
+                return _from_scaled(self, tuple(x))
             x[v] += d
             q[v] += d * self.eulers[v]
             for w in self.adj[v]:
@@ -378,7 +407,7 @@ class PlumbingGraph:
 
     def fundamental_cycle(self):
         if "zmin" not in self._cache:
-            start = LatticeVector(self, [1] * self.n)
+            start = _from_scaled(self, (self.det,) * self.n)
             self._cache["zmin"] = self.laufer(start, [0] * self.n)
         return self._cache["zmin"]
 
@@ -482,15 +511,17 @@ def class_of(x: LatticeVector) -> LatticeVector:
     return x.graph.rep_from_key(x.graph.class_key(x))
 
 
-def minimal_s_rep(g: PlumbingGraph, h: LatticeVector):
+def minimal_s_rep(g: PlumbingGraph, h):
     """Minimal element s_h of the Lipman cone in the class of h.
 
-    Returns (s_h, delta) with delta = s_h - r_h, an effective integral cycle.
+    h may be a LatticeVector in the dual lattice or a class key.  Returns
+    (s_h, delta) with delta = s_h - r_h, an effective integral cycle.
     """
-    r = class_of(h)
+    r = g.rep_from_key(h if isinstance(h, tuple) else g.class_key(h))
     s = g.laufer(r, [0] * g.n)
     delta = s - r
-    assert delta.is_integral() and delta >= g.zero()
+    if not (delta.is_integral() and delta >= g.zero()):
+        raise InternalDisagreement("s_h - r_h is not an effective integral cycle")
     return s, delta
 
 
@@ -508,24 +539,27 @@ def dual_restrict(x: LatticeVector, comp: PlumbingGraph, origin) -> LatticeVecto
     Defined by (y, E_w)_{T_i} = (x, E_w)_T for every vertex w of the
     component; origin maps component positions to parent indices.
     """
-    parent = x.graph
-    pair = [parent.pair_vertex(x.coords, pv) for pv in origin]
-    # solve I_i y = pair exactly: y = -(-I_i)^{-1} pair
-    y = [Fraction(0)] * comp.n
-    for i in range(comp.n):
-        col = comp.dual_basis_columns[i]  # column i of (-I_i)^{-1}
-        for w in range(comp.n):
-            y[w] -= col[w] * pair[i]
-    # columns of inv are symmetric here (I symmetric) but keep the solve honest
-    res = LatticeVector(comp, y)
-    for i in range(comp.n):
-        assert res.pair_vertex(i) == pair[i]
-    return res
+    dp = x.graph.det
+    q = x.scaled_pairings()
+    pair = [q[pv] // dp for pv in origin]
+    if any(q[pv] % dp for pv in origin):
+        raise NotInDualLattice("vector pairs non-integrally with L")
+    # solve I_i y = pair exactly: d_i y = -adj(-I_i) pair
+    y = [0] * comp.n
+    for p, col in zip(pair, comp.dual_scaled):
+        if p:
+            for w in range(comp.n):
+                y[w] -= p * col[w]
+    if comp.scaled_pairings(y) != tuple(comp.det * p for p in pair):
+        raise InternalDisagreement("restriction to %s does not pair like x" % (comp.ids,))
+    return _from_scaled(comp, tuple(y))
 
 
 def project_onto(x: LatticeVector, subset):
     """Coordinate restriction x|_subset, a plain tuple in subset order."""
-    return tuple(x.coords[v] for v in sorted(subset))
+    d = x.graph.det
+    s = x.scaled()
+    return tuple(Fraction(s[v], d) for v in sorted(subset))
 
 
 def is_rational(g: PlumbingGraph) -> bool:

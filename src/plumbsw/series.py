@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .errors import (
 from .graph import (
     LatticeVector,
     PlumbingGraph,
-    _det_fraction,
-    _invert_fraction,
+    _bareiss,
     connected_closure,
 )
 
@@ -46,13 +44,13 @@ def coefficient(g: PlumbingGraph, x: LatticeVector) -> int:
     valency-2 vertex carries a nonzero dual coordinate or a node exceeds
     its valency budget.
     """
-    if not x.in_dual_lattice():
+    d = g.det
+    q = x.scaled_pairings()                   # -d times the dual coordinates
+    if any(c % d for c in q):
         raise NotInDualLattice("exponent is not in the dual lattice")
     z = 1
-    for v, av in enumerate(x.dual_coords()):
-        if av.denominator != 1:
-            return 0
-        a = int(av)
+    for v, c in enumerate(q):
+        a = -c // d
         if a < 0:
             return 0
         dv = g.delta[v]
@@ -238,17 +236,6 @@ class SupportStore:
         coords, z = got
         cols = list(subset)
         mask = (coords[:, cols] < np.array([thr[w] for w in cols], dtype=np.int64)).any(axis=1)
-        return int(z[mask].sum())
-
-    def sum_all_lt(self, class_key, thr, subset) -> int:
-        """Sum over the class with coord_w < thr_w for every w in subset."""
-        self._check(thr, subset)
-        got = self.buckets.get(tuple(class_key))
-        if got is None:
-            return 0
-        coords, z = got
-        cols = list(subset)
-        mask = (coords[:, cols] < np.array([thr[w] for w in cols], dtype=np.int64)).all(axis=1)
         return int(z[mask].sum())
 
 
@@ -497,7 +484,6 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
     if sorted(connected_closure(g, v2)) != v2:
         raise PlumbingError("v2 must induce a connected full subgraph")
     n = g.n
-    d = g.det
     outside = [v for v in range(n) if v not in set(v2)]
     boundary = [u for u in v2 if any(w in set(outside) for w in g.adj[u])]
     delta2 = {u: sum(1 for w in g.adj[u] if w in set(v2)) for u in boundary}
@@ -537,11 +523,12 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
                 return False
         return True
 
-    # restricted dual-basis matrix: columns E*_v|_{v2}, v in v2 (scaled)
-    M2 = [[Fraction(cols[v][w], d) for v in v2] for w in v2]
-    if _det_fraction(M2) == 0:
-        raise BoundViolation("restricted dual basis is singular on %s" % (v2,))
-    M2_inv = _invert_fraction(M2)
+    # restricted dual-basis matrix, d-scaled: columns d E*_v|_{v2}, v in v2.
+    # It is a principal block of d (-I)^{-1}, so positive definite.
+    minors, adj2 = _bareiss([[cols[v][w] for v in v2] for w in v2])
+    if adj2 is None:
+        raise BoundViolation("restricted dual basis is not positive definite on %s" % (v2,))
+    det2 = minors[-1]
 
     comps = g.components_minus(v2)
     v1 = {}
@@ -566,17 +553,16 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
         if not complete(proj):
             skipped += 1
             continue
-        rhs = [Fraction(p, d) for p in proj]
-        r = [sum(a * b for a, b in zip(row, rhs)) for row in M2_inv]
-        if any(c < 0 for c in r):
+        # decomposition coefficients r = (d M2)^{-1} proj = r_num / det2
+        r_num = [sum(a * p for a, p in zip(row, proj)) for row in adj2]
+        if any(c < 0 for c in r_num):
             raise BoundViolation("negative dual decomposition at %s" % (proj,))
         for j, u in enumerate(v2):
             if u not in delta2 or delta2[u] < 2:
                 continue
-            lhs = r[j] * Fraction(cols[u][u], d)
-            rhs_bound = sum(
-                (g.delta[w] - 2) * Fraction(cols[w][u], d) for w in v1[u]
-            )
+            # r_j (E*_u)_u > sum (delta_w - 2) (E*_w)_u, both sides times d det2
+            lhs = r_num[j] * cols[u][u]
+            rhs_bound = det2 * sum((g.delta[w] - 2) * cols[w][u] for w in v1[u])
             if lhs > rhs_bound:
                 raise BoundViolation(
                     "degree bound fails at %s for support point %s" % (g.ids[u], proj)

@@ -29,12 +29,10 @@ from .errors import (
     IdentityViolation,
     MethodPreconditionFailed,
     NotGorenstein,
-    PlumbingError,
 )
 from .graph import (
     LatticeVector,
     PlumbingGraph,
-    class_of,
     dual_restrict,
     fraction_text,
     is_rational,
@@ -49,8 +47,9 @@ SWEEP_TABLE_LIMIT = 700        # build the all-classes table when |H| is below t
 
 def quad_term(g: PlumbingGraph, x: LatticeVector) -> Fraction:
     """((K + 2x)^2 + |V|) / 8."""
-    kx = g.K + 2 * x
-    return Fraction(kx.pair(kx) + g.n, 8)
+    d2 = g.det * g.det
+    kx = [k + 2 * c for k, c in zip(g.K.scaled(), x.scaled())]
+    return Fraction(g.scaled_pair(kx, kx) + g.n * d2, 8 * d2)
 
 
 @dataclass
@@ -105,8 +104,8 @@ def _check_depth(depth):
 
 def _check_sum_region(g, x):
     # the counting/quadratic correspondence needs x in -K + interior of the cone
-    for v in range(g.n):
-        if (x + g.K).pair_vertex(v) >= 0:
+    for v, q in enumerate((x + g.K).scaled_pairings()):
+        if q >= 0:
             raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
 
 
@@ -145,13 +144,12 @@ def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
 
 
 def _finish_record(g, class_key, sw, depth):
-    r = g.rep_from_key(class_key)
-    s, _delta = minimal_s_rep(g, r)
+    s, _delta = minimal_s_rep(g, class_key)
     return SwRecord(
         graph=g,
         class_key=class_key,
         sw=sw,
-        normalized_r=sw + quad_term(g, r),
+        normalized_r=sw + quad_term(g, g.rep_from_key(class_key)),
         normalized_s=sw + quad_term(g, s),
         depth_used=depth,
     )
@@ -167,11 +165,17 @@ def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     """
     _check_depth(depth)
     ck = h if isinstance(h, tuple) else g.class_key(h)
+    if g.det <= SWEEP_TABLE_LIMIT and ("sw", ck) not in g._cache:
+        return sw_table(g, depth)[ck]
+    return _single_class_record(g, ck, depth)
+
+
+def _single_class_record(g, ck, depth):
+    """The cached record of one class, else the class computed alone,
+    deepening while two consecutive depths disagree."""
     cached = g._cache.get(("sw", ck))
     if cached is not None:
         return cached
-    if g.det <= SWEEP_TABLE_LIMIT:
-        return sw_table(g, depth)[ck]
     c = depth
     prev = _sw_from_counting(g, ck, c)
     for _ in range(STABILITY_EXTRA_TRIES):
@@ -223,7 +227,8 @@ class QuasiPoly:
 
     def evaluate(self, l: LatticeVector) -> Fraction:
         """Value at integral l; equals the counting function at r_h + l deep."""
-        assert l.is_integral(), "quasipolynomial argument must be integral"
+        if not l.is_integral():
+            raise MethodPreconditionFailed("quasipolynomial argument must be integral")
         g = self.graph
         point = self._r + l
         value = -self._swT - quad_term(g, point)
@@ -268,8 +273,9 @@ def pc_gorenstein(g, subset) -> Fraction:
 
 
 def _restriction_order(g, comp, origin, v):
+    # the order of y in L'/L is the lcm of the denominators of y_w = s_w / d
     y = dual_restrict(g.basis_vector(v), comp, origin)
-    return math.lcm(*[c.denominator for c in y.coords])
+    return comp.det // math.gcd(comp.det, *y.scaled())
 
 
 def univariate_step(g, v) -> int:
@@ -390,10 +396,9 @@ def _component_counts(forest, xs):
     if len(xs) == 1:
         return [[series.counting_full(comp, dual_restrict(xs[0], comp, origin))
                  for comp, origin in forest]]
-    n = xs[0].graph.n
+    d = xs[0].graph.det
     # pairing matrix rows: (x, E_w), integers since x is in the dual lattice
-    pairs = np.array([[int(x.pair_vertex(w)) for w in range(n)] for x in xs],
-                     dtype=np.int64)
+    pairs = np.array([[q // d for q in x.scaled_pairings()] for x in xs], dtype=np.int64)
     counts = [[] for _ in xs]
     for comp, origin in forest:
         dmat = np.array(comp.dual_scaled, dtype=np.int64)     # [v][w] = d_i (E*_v)_w
@@ -533,7 +538,7 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
         ok = True
         for comp, origin in forest:
             y = dual_restrict(r, comp, origin)
-            s_i, _ = minimal_s_rep(comp, class_of(y))
+            s_i, _ = minimal_s_rep(comp, y)
             corr = comp.chi(s_i) - comp.chi(y)
             term = component_term(comp, y)
             ok = ok and term == corr
@@ -568,7 +573,7 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
         # cone representatives, and rational pieces normalize to zero there
         for comp, origin in forest:
             y = dual_restrict(s_h, comp, origin)
-            s_y, _ = minimal_s_rep(comp, class_of(y))
+            s_y, _ = minimal_s_rep(comp, y)
             minimal_ok = s_y == y
             term = component_term(comp, y)
             ok = ok and minimal_ok and term == 0

@@ -62,6 +62,83 @@ def det_cofactor(m):
     return total
 
 
+def leading_minors(m):
+    """All leading principal minors of m, by cofactor expansion."""
+    return [det_cofactor([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def fraction_inverse(m):
+    """Exact inverse over Q by Gauss-Jordan elimination with row swaps."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+class FractionLattice:
+    """The lattice apparatus of a graph on plain Fraction coordinates.
+
+    Dense pairings, a Gauss-Jordan inverse of -I and Laufer loops one unit
+    step at a time: a reference for the library's d-scaled integer core.
+    """
+
+    def __init__(self, g: PlumbingGraph):
+        self.g = g
+        self.n = g.n
+        self.det = det_cofactor([[-x for x in row] for row in g.matrix])
+        self.inv = fraction_inverse([[-x for x in row] for row in g.matrix])
+        # (K, E_v) = -2 - e_v, so K = (-I)^{-1} (2 + e)
+        self.K = tuple(sum(self.inv[i][j] * (2 + g.eulers[j]) for j in range(g.n))
+                       for i in range(g.n))
+
+    def dual(self, v):
+        return tuple(self.inv[w][v] for w in range(self.n))
+
+    def pair_vertex(self, x, v):
+        return sum(self.g.matrix[v][j] * x[j] for j in range(self.n))
+
+    def pair(self, x, y):
+        return sum(x[i] * self.pair_vertex(y, i) for i in range(self.n))
+
+    def chi(self, x):
+        return -(self.pair(x, x) + self.pair(x, self.K)) / 2
+
+    def quad(self, x):
+        kx = [k + 2 * c for k, c in zip(self.K, x)]
+        return Fraction(self.pair(kx, kx) + self.n, 8)
+
+    def class_key(self, x):
+        assert all(self.pair_vertex(x, v).denominator == 1 for v in range(self.n))
+        return tuple(int(c * self.det) % self.det for c in x)
+
+    def laufer(self, x, demands):
+        x = list(x)
+        while True:
+            v = next((v for v in range(self.n) if self.pair_vertex(x, v) > -demands[v]), None)
+            if v is None:
+                return tuple(x)
+            x[v] += 1
+
+    def deep_point(self, key, depth):
+        g = self.g
+        demands = [max(g.delta[v] - 2, -1 - g.eulers[v]) + depth for v in range(g.n)]
+        return self.laufer([Fraction(c, self.det) for c in key], demands)
+
+    def restrict(self, x, comp, origin):
+        """y on the component with (y, E_w) = (x, E_w) for its vertices."""
+        p = [self.pair_vertex(x, pv) for pv in origin]
+        inv = FractionLattice(comp).inv
+        return tuple(-sum(inv[w][i] * p[i] for i in range(comp.n)) for w in range(comp.n))
+
+
 def brute_series(g: PlumbingGraph, depth: int):
     """Series coefficients by explicit product expansion.
 

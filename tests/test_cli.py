@@ -68,6 +68,27 @@ def test_sw_e8(corpus_dir, capsys):
     assert inv["sw"] == "-1/1" and inv["normalized_r"] == "0/1"
 
 
+def test_consecutive_runs_share_no_state(corpus_dir, tmp_path, capsys):
+    graph = str(corpus_dir / "a2.pg")
+    first = tmp_path / "first.json"
+    code, rep = run_json(["--output", str(first), "sw", "--graph", graph,
+                          "--class", "#1", "--depth", "-3"], capsys)
+    assert code == 2 and rep["error"] == "MethodPreconditionFailed"
+    first.unlink()
+    code, rep = run_json(["sw", "--graph", graph, "--class", "#1"], capsys)
+    assert code == 0 and [inv["depth"] for inv in rep["invariants"]] == [1]
+    assert not first.exists()
+
+
+@pytest.mark.parametrize("argv", [["coeff", "--exponent", "1/2,0"],
+                                  ["count", "--threshold", "1/2,0"]])
+def test_coordinates_outside_dual_lattice_rejected(corpus_dir, capsys, argv):
+    # det(a2) = 3, so 1/2 is not a coordinate of any vector of (1/3)L
+    code, rep = run_json(argv[:1] + ["--graph", str(corpus_dir / "a2.pg")] + argv[1:],
+                         capsys)
+    assert code == 2 and rep["error"] == "NotInDualLattice"
+
+
 def test_sw_rejects_negative_depth(corpus_dir, capsys):
     graph = str(corpus_dir / "gor_star.pg")
     code, rep = run_json(["sw", "--graph", graph, "--class", "all", "--depth", "-3"],

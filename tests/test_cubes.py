@@ -220,11 +220,13 @@ from plumbsw import cubes, fixtures as fx, graph, sw
 from plumbsw.errors import (BoundViolation, InternalDisagreement,
                             MethodPreconditionFailed)
 
-def expect(exc, fn, *args):
+def expect(exc, fn, *args, match=""):
     try:
         fn(*args)
-    except exc:
-        return
+    except exc as err:
+        if match in str(err):
+            return
+        raise SystemExit("%s raised %r, not the %r check" % (fn.__name__, err, match))
     raise SystemExit("%s did not raise %s" % (fn.__name__, exc.__name__))
 
 assert False, "run with python -O: every guard below must hold without asserts"
@@ -246,10 +248,33 @@ short = fx.gorenstein_star()
 short.dual_scaled = tuple(tuple(0 for _ in col) for col in short.dual_scaled)
 expect(InternalDisagreement, short.classes)
 # a dual basis entry that is not positive would make the enumeration infinite
-invert = graph._invert_fraction
-graph._invert_fraction = lambda m: [[-x for x in row] for row in invert(m)]
-expect(InternalDisagreement, fx.gorenstein_star)
-graph._invert_fraction = invert
+bareiss = graph._bareiss
+def scaled_adjugate(k):
+    return lambda m: (lambda minors, adj: (minors, [[k * x for x in row] for row in adj]))(
+        *bareiss(m))
+graph._bareiss = scaled_adjugate(-1)
+expect(InternalDisagreement, fx.gorenstein_star, match="positive")
+# a wrong adjugate gives a canonical cycle that fails the adjunction relations
+graph._bareiss = scaled_adjugate(2)
+expect(InternalDisagreement, fx.gorenstein_star, match="adjunction")
+graph._bareiss = bareiss
+# vectors of two graphs do not add, compare or pair
+other = fx.string_graph([-2, -2])
+expect(MethodPreconditionFailed, g.zero().__add__, other.zero())
+expect(MethodPreconditionFailed, g.zero().__sub__, other.zero())
+expect(MethodPreconditionFailed, g.zero().__ge__, other.zero())
+expect(MethodPreconditionFailed, g.zero().pair, other.zero())
+# a Laufer loop that stepped below its start would leave s_h - r_h negative
+low = fx.string_graph([-2, -2])
+low.laufer = lambda start, demands: start - low.basis_vector(0)
+expect(InternalDisagreement, graph.minimal_s_rep, low, low.zero(), match="effective")
+# a wrong component dual basis restricts to a vector that pairs differently
+star = fx.showcase_star()
+comp, origin = next(iter(star.components_minus([1])))
+comp.dual_scaled = tuple(tuple(2 * c for c in col) for col in comp.dual_scaled)
+expect(InternalDisagreement, graph.dual_restrict, star.basis_vector(origin[0]), comp, origin)
+# quasipolynomials take integral arguments only
+expect(MethodPreconditionFailed, sw.quasipoly_full(g, g.zero()).evaluate, half)
 # subgraph values that do not vanish on the empty subgraph cannot re-sum
 cubes.swbar_forest = lambda forest: Fraction(1)
 try:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbsw import fixtures as fx
 from plumbsw.errors import (
@@ -28,7 +29,8 @@ from plumbsw.graph import (
     project_onto,
     validate,
 )
-from conftest import det_cofactor
+from plumbsw.sw import quad_term
+from conftest import FractionLattice, det_cofactor, leading_minors
 
 
 def test_validate_single_vertex(single3):
@@ -295,3 +297,59 @@ def test_laufer_deep_point_respects_demands(showcase2):
         assert showcase2.class_key(x) == key
         for v, dem in enumerate(demands):
             assert -x.pair_vertex(v) >= dem
+
+
+# -- the integer core against the plain-Fraction reference ---------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_scaled_core_matches_fraction_reference(seed, data):
+    g = fx.random_tree(random.Random(seed), max_det=300)
+    ref = FractionLattice(g)
+    assert g.det == ref.det
+    assert [g.dual_vector(v).coords for v in range(g.n)] == [ref.dual(v) for v in range(g.n)]
+    assert g.K.coords == ref.K
+    ints = st.lists(st.integers(-4, 4), min_size=g.n, max_size=g.n)
+
+    def dual_point():
+        return g.from_dual_coords(data.draw(ints)) + g.vector(data.draw(ints))
+
+    x, y = dual_point(), dual_point()
+    assert x.pair(y) == ref.pair(x.coords, y.coords)
+    assert [x.pair_vertex(v) for v in range(g.n)] == [ref.pair_vertex(x.coords, v)
+                                                      for v in range(g.n)]
+    assert g.chi(x) == ref.chi(x.coords)
+    assert quad_term(g, x) == ref.quad(x.coords)
+    assert g.class_key(x) == ref.class_key(x.coords)
+    subset = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    for comp, origin in g.components_minus(subset):
+        assert dual_restrict(x, comp, origin).coords == ref.restrict(x.coords, comp, origin)
+    key = g.class_key(x)
+    s, delta = minimal_s_rep(g, x)
+    assert s.coords == ref.laufer([Fraction(c, g.det) for c in key], [0] * g.n)
+    assert delta == s - g.rep_from_key(key)
+    depth = data.draw(st.integers(0, 2))
+    assert g.deep_point(key, depth).coords == ref.deep_point(key, depth)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32))
+def test_definiteness_failure_names_first_bad_leading_minor(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    ids = ["v%d" % i for i in range(n)]
+    parent = [rng.randrange(i) for i in range(1, n)]
+    edges = [(ids[p], ids[i]) for i, p in enumerate(parent, 1)]
+    eulers = [rng.randint(-3, 0) for _ in range(n)]
+    neg = [[-eulers[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, p in enumerate(parent, 1):
+        neg[i][p] = neg[p][i] = -1
+    minors = leading_minors(neg)
+    bad = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
+    if bad is None:
+        assert validate(ids, eulers, edges).det == minors[-1]
+        return
+    with pytest.raises(NotNegativeDefinite) as err:
+        validate(ids, eulers, edges)
+    assert (err.value.minor_index, err.value.minor_value) == (bad, minors[bad - 1])

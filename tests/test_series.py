@@ -17,6 +17,7 @@ from plumbsw.series import (
     counting_full,
     counting_modified,
     counting_reduced,
+    hist_all_lt,
     single_histogram,
     support_bound_report,
     sweep_histogram,
@@ -166,11 +167,10 @@ def test_one_vertex_peel_identity():
 def test_univariate_table_matches_enumeration(showcase2):
     g = showcase2
     uni = UnivariateTable(g, 0, gamma_max=130)
-    store = SupportStore(g, [128, None, None, None, None])
     for key in g.classes().reps_scaled[:6]:
         for gamma in (5, 17, 33, 64, 100):
-            thr = [gamma, 0, 0, 0, 0]
-            assert uni.value(key, gamma) == store.sum_all_lt(key, thr, (0,))
+            hist = single_histogram(g, key, [gamma, 0, 0, 0, 0])
+            assert uni.value(key, gamma) == hist_all_lt(hist, (0,))
 
 
 def test_univariate_table_single_vertex(single3):

@@ -8,11 +8,7 @@ reproduces the restriction values of their showcase classes.
 from fractions import Fraction
 
 from plumbsw import (
-    canonical_cycle,
     class_of,
-    class_table,
-    components_minus,
-    dual_basis,
     dual_restrict,
     fixtures,
     is_rational,
@@ -28,23 +24,21 @@ def show(title):
 def main():
     show("two-node tree: -2 spine with four -4 leaves")
     g = fixtures.showcase_two_nodes()
-    basis, d = dual_basis(g)
     print("vertices:", g.ids)
-    print("det(-I) =", d, " (order of the discriminant group)")
-    K, ZK, gorenstein = canonical_cycle(g)
-    print("canonical cycle K:", [str(c) for c in K.coords])
-    print("numerically Gorenstein:", gorenstein, "  rational:", is_rational(g))
+    print("det(-I) =", g.det, " (order of the discriminant group)")
+    print("canonical cycle K:", [str(c) for c in g.K.coords])
+    print("numerically Gorenstein:", g.numerically_gorenstein, "  rational:", is_rational(g))
     print("dual basis column of the middle vertex:",
-          [str(c) for c in basis[1].coords])
+          [str(c) for c in g.dual_vector(1).coords])
 
-    tbl = class_table(g)
+    tbl = g.classes()
     print("class count:", len(tbl))
     rep = g.vector(fixtures.SHOWCASE_TWO_NODES_CLASS)
     print("showcase class:", [str(c) for c in rep.coords],
           "in table:", g.class_key(rep) in tbl.index)
 
     middle_only = [v for v in range(g.n) if v != 1]
-    comp, origin = next(iter(components_minus(g, middle_only)))
+    comp, origin = next(iter(g.components_minus(middle_only)))
     y = dual_restrict(rep, comp, origin)
     print("restriction of the showcase class to the middle vertex:",
           [str(c) for c in y.coords], " (expected -1/2)")
@@ -53,7 +47,7 @@ def main():
     g2 = fixtures.showcase_star()
     print("det(-I) =", g2.det, "  rational:", is_rational(g2))
     rep2 = g2.vector(fixtures.SHOWCASE_STAR_CLASS)
-    comp, origin = next(iter(components_minus(g2, (1, 2, 3, 4))))
+    comp, origin = next(iter(g2.components_minus((1, 2, 3, 4))))
     y2 = dual_restrict(rep2, comp, origin)
     print("restriction of the showcase class to the center:",
           [str(c) for c in y2.coords], " (expected -2/3)")

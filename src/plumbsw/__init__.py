@@ -30,31 +30,21 @@ from .graph import (
     GraphForest,
     LatticeVector,
     PlumbingGraph,
-    canonical_cycle,
-    chi,
     class_of,
-    class_table,
-    components_minus,
     connected_closure,
-    dual_basis,
     dual_restrict,
     emit_graph_text,
     is_rational,
     load_graph,
     minimal_s_rep,
     parse_graph,
-    project_onto,
     validate,
 )
 from .series import (
-    CountingQuery,
     SupportStore,
     UnivariateTable,
     coefficient,
     counting,
-    counting_full,
-    counting_modified,
-    counting_reduced,
     support_bound_report,
 )
 from .sw import (
@@ -64,7 +54,6 @@ from .sw import (
     component_term,
     counting_surgery_sweep,
     pc_reduced,
-    quasipoly_full,
     quasipoly_reduced,
     reduction_rational,
     sw_invariant,

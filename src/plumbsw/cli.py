@@ -130,7 +130,7 @@ def _cmd_count(args):
     g = load_graph(args.graph)
     x = _parse_vector(g, args.threshold)
     subset = _parse_subset(g, args.subset) if args.subset else tuple(range(g.n))
-    value = series.counting(g, series.CountingQuery(args.mode, x, subset))
+    value = series.counting(g, args.mode, x, subset)
     return {
         "mode": args.mode,
         "threshold": _vec(x),

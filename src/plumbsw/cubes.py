@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import LatticeVector, PlumbingGraph
 from . import series
-from .sw import DEFAULT_DEPTH, _single_class_record, quad_term
+from .sw import DEFAULT_DEPTH, _nonempty, _single_class_record, quad_term
 
 SUBSET_SWEEP_CAP = 12
 
@@ -239,12 +239,10 @@ def gorenstein_pc(g: PlumbingGraph, subset) -> Fraction:
     """
     if not g.numerically_gorenstein:
         raise NotGorenstein("anticanonical cycle is not integral")
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
+    subset = _nonempty(subset)
     zk = _ints(g.ZK)
 
-    via_series = series.counting_reduced(g, g.ZK, subset)
+    via_series = series.counting(g, "reduced", g.ZK, subset)
 
     skips = [J for r in range(1, len(subset) + 1)
              for J in itertools.combinations(subset, r)]

@@ -6,7 +6,7 @@ import json
 import random
 from fractions import Fraction
 
-from .errors import NotNegativeDefinite
+from .errors import NotNegativeDefinite, PlumbingError
 from .graph import PlumbingGraph, emit_graph_text, fraction_text, is_rational, validate
 
 
@@ -51,12 +51,14 @@ def ade_graph(name: str) -> PlumbingGraph:
     if kind == "A":
         edges = [(ids[i], ids[i + 1]) for i in range(rank - 1)]
     elif kind == "D":
-        assert rank >= 4
+        if rank < 4:
+            raise PlumbingError("D_n needs rank at least 4, got %d" % rank)
         # chain v3..vn with the fork v1, v2 attached at v3
         edges = [(ids[0], ids[2]), (ids[1], ids[2])]
         edges += [(ids[i], ids[i + 1]) for i in range(2, rank - 1)]
     elif kind == "E":
-        assert rank in (6, 7, 8)
+        if rank not in (6, 7, 8):
+            raise PlumbingError("E_n needs rank 6, 7 or 8, got %d" % rank)
         # chain of rank-1 vertices with the last vertex hanging off the third
         edges = [(ids[i], ids[i + 1]) for i in range(rank - 2)]
         edges.append((ids[2], ids[rank - 1]))

@@ -193,18 +193,10 @@ class LatticeVector:
 class ClassTable:
     """The group H = L'/L materialized as semi-open-cube representatives."""
 
-    def __init__(self, graph, reps_scaled):
-        self.graph = graph
+    def __init__(self, reps_scaled):
         self.reps_scaled = reps_scaled          # sorted tuples of ints in [0, d)
         self.index = {r: i for i, r in enumerate(reps_scaled)}
         self.order = len(reps_scaled)
-
-    @property
-    def reps(self):
-        return [_from_scaled(self.graph, r) for r in self.reps_scaled]
-
-    def rep_vector(self, i):
-        return _from_scaled(self.graph, self.reps_scaled[i])
 
     def __len__(self):
         return self.order
@@ -213,8 +205,7 @@ class ClassTable:
 class GraphForest:
     """Disjoint components of an induced subgraph, with origin maps."""
 
-    def __init__(self, parent, components, origins):
-        self.parent = parent
+    def __init__(self, components, origins):
         self.components = components            # list of PlumbingGraph
         self.origins = origins                  # list of tuples of parent indices
 
@@ -378,7 +369,7 @@ class PlumbingGraph:
                 # the all-class sweeps rely on this table covering H
                 raise InternalDisagreement(
                     "closure found %d classes, det is %d" % (len(reps), d))
-            self._class_table = ClassTable(self, reps)
+            self._class_table = ClassTable(reps)
         return self._class_table
 
     # -- Laufer-style iterations ----------------------------------------------
@@ -465,7 +456,7 @@ class PlumbingGraph:
                     pool[ckey] = PlumbingGraph(sub_ids, sub_eul, sub_edges)
                 comps.append(pool[ckey])
                 origins.append(ckey)
-            self._cache[key] = GraphForest(self, comps, origins)
+            self._cache[key] = GraphForest(comps, origins)
         return self._cache[key]
 
 
@@ -492,20 +483,6 @@ def validate(ids, eulers, edges) -> PlumbingGraph:
     return PlumbingGraph(ids, eulers, idx_edges)
 
 
-def dual_basis(g: PlumbingGraph):
-    """The anti-dual basis E*_v (columns of (-I)^{-1}) and d = det(-I)."""
-    return [g.dual_vector(v) for v in range(g.n)], g.det
-
-
-def canonical_cycle(g: PlumbingGraph):
-    """K solving the adjunction system, Z_K = -K, and the K-in-L flag."""
-    return g.K, g.ZK, g.numerically_gorenstein
-
-
-def class_table(g: PlumbingGraph) -> ClassTable:
-    return g.classes()
-
-
 def class_of(x: LatticeVector) -> LatticeVector:
     """The semi-open-cube representative of [x]."""
     return x.graph.rep_from_key(x.graph.class_key(x))
@@ -523,14 +500,6 @@ def minimal_s_rep(g: PlumbingGraph, h):
     if not (delta.is_integral() and delta >= g.zero()):
         raise InternalDisagreement("s_h - r_h is not an effective integral cycle")
     return s, delta
-
-
-def chi(x: LatticeVector):
-    return x.graph.chi(x)
-
-
-def components_minus(g: PlumbingGraph, subset) -> GraphForest:
-    return g.components_minus(subset)
 
 
 def dual_restrict(x: LatticeVector, comp: PlumbingGraph, origin) -> LatticeVector:
@@ -553,13 +522,6 @@ def dual_restrict(x: LatticeVector, comp: PlumbingGraph, origin) -> LatticeVecto
     if comp.scaled_pairings(y) != tuple(comp.det * p for p in pair):
         raise InternalDisagreement("restriction to %s does not pair like x" % (comp.ids,))
     return _from_scaled(comp, tuple(y))
-
-
-def project_onto(x: LatticeVector, subset):
-    """Coordinate restriction x|_subset, a plain tuple in subset order."""
-    d = x.graph.det
-    s = x.scaled()
-    return tuple(Fraction(s[v], d) for v in sorted(subset))
 
 
 def is_rational(g: PlumbingGraph) -> bool:

@@ -319,63 +319,39 @@ def hist_all_lt(hist, subset) -> int:
 # -- public counting interface ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountingQuery:
-    """A counting request: mode 'full', 'reduced', or 'modified'.
-
-    threshold is the cut point x; subset is the coordinate set for reduced
-    and modified modes (ignored for full).  The summation class is the
-    class of the threshold.
-    """
-
-    mode: str
-    threshold: LatticeVector
-    subset: tuple = ()
-
-
-def counting(g: PlumbingGraph, query: CountingQuery) -> int:
-    """Exact counting-function value for one query.
+def counting(g: PlumbingGraph, mode: str, x: LatticeVector, subset=()) -> int:
+    """Exact counting-function value; the summation class is the class of x.
 
     full:     sum over [l'] = [x], l' not >= x
     reduced:  sum over [l'] = [x], l'|_I not >= x|_I
     modified: sum over [l'] = [x], l'|_J < x|_J in every coordinate of J
+
+    subset is the coordinate set I or J of the reduced and modified modes;
+    the full mode ignores it.
     """
-    x = query.threshold
     if x.graph is not g:
         raise InfeasibleQuery("threshold belongs to a different graph")
     if not x.in_dual_lattice():
         raise NotInDualLattice("threshold is not in the dual lattice")
     thr = x.scaled()
-    if query.mode == "full":
+    if mode == "full":
         subset = tuple(range(g.n))
-    elif query.mode in ("reduced", "modified"):
-        subset = tuple(sorted(set(query.subset)))
+    elif mode in ("reduced", "modified"):
+        subset = tuple(sorted(set(subset)))
         if not subset:
-            raise InfeasibleQuery("%s mode needs a nonempty coordinate subset" % query.mode)
+            raise InfeasibleQuery("%s mode needs a nonempty coordinate subset" % mode)
     else:
-        raise InfeasibleQuery("unknown mode %r" % query.mode)
-    if query.mode == "modified" and any(thr[w] <= 0 for w in subset):
+        raise InfeasibleQuery("unknown mode %r" % mode)
+    if mode == "modified" and any(thr[w] <= 0 for w in subset):
         return 0
 
     # a zero threshold outside the subset sets no bit there and adds nothing
     # to the enumeration envelope
     cut = [thr[w] if w in subset else 0 for w in range(g.n)]
     hist = single_histogram(g, g.class_key(x), cut)
-    if query.mode == "modified":
+    if mode == "modified":
         return hist_all_lt(hist, subset)
     return hist_not_ge(hist, subset)
-
-
-def counting_full(g, x):
-    return counting(g, CountingQuery("full", x))
-
-
-def counting_reduced(g, x, subset):
-    return counting(g, CountingQuery("reduced", x, tuple(subset)))
-
-
-def counting_modified(g, x, subset):
-    return counting(g, CountingQuery("modified", x, tuple(subset)))
 
 
 # -- one-variable counting table ----------------------------------------------
@@ -467,7 +443,6 @@ class SupportBoundReport:
     skipped_incomplete: int
     boundary_checked: tuple
     boundary_skipped: tuple
-    passed: bool
 
 
 def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundReport:
@@ -574,6 +549,5 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
         skipped_incomplete=skipped,
         boundary_checked=tuple(gates_checked),
         boundary_skipped=tuple(gates_skipped),
-        passed=True,
     )
 

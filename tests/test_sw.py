@@ -6,6 +6,8 @@ import pytest
 
 from plumbsw import fixtures as fx
 from plumbsw import series
+from plumbsw import sw as sw_module
+from plumbsw.cubes import swbar
 from plumbsw.errors import (
     ComponentNotRational,
     IdentityViolation,
@@ -17,7 +19,6 @@ from plumbsw.sw import (
     counting_surgery_sweep,
     pc_reduced,
     quad_term,
-    quasipoly_full,
     quasipoly_reduced,
     reduction_rational,
     sw_invariant,
@@ -52,28 +53,48 @@ def test_sw_depth_stability_external(showcase2):
     for key in showcase2.classes().reps_scaled:
         rec = sw_invariant(showcase2, key)
         x = showcase2.deep_point(key, rec.depth_used + 2)
-        q = series.counting_full(showcase2, x)
+        q = series.counting(showcase2, "full", x)
         assert -q - quad_term(showcase2, x) == rec.sw
+
+
+def test_sw_invariant_caches_records_per_depth(monkeypatch):
+    zero = (0,) * 4
+    # table route: a later request at another depth is computed at that depth
+    g = fx.ade_graph("D4")
+    first = sw_invariant(g, zero, depth=1)
+    deeper = sw_invariant(g, zero, depth=3)
+    assert (first.depth_used, deeper.depth_used) == (1, 3)
+    assert deeper.sw == first.sw
+    assert sw_invariant(g, zero, depth=1) is first
+    # single-class route: swbar records the trivial class at the default depth
+    # only, whether the later request goes through the table or alone
+    for limit in (sw_module.SWEEP_TABLE_LIMIT, 0):
+        monkeypatch.setattr(sw_module, "SWEEP_TABLE_LIMIT", limit)
+        g = fx.ade_graph("D4")
+        bar = swbar(g)
+        rec = sw_invariant(g, zero, depth=3)
+        assert rec.depth_used == 3
+        assert -rec.sw - quad_term(g, g.zero()) == bar
 
 
 def test_quasipoly_full_matches_counting_deep(showcase2):
     g = showcase2
     for key in g.classes().reps_scaled[:6]:
-        qp = quasipoly_full(g, key)
+        qp = quasipoly_reduced(g, key, range(g.n))
         x = g.deep_point(key, 2)
         l = x - g.rep_from_key(key)
-        assert qp.evaluate(l) == series.counting_full(g, x)
+        assert qp.evaluate(l) == series.counting(g, "full", x)
 
 
 def test_quasipoly_full_constant_is_pc(showcase2):
     for key in showcase2.classes().reps_scaled[:4]:
-        qp = quasipoly_full(showcase2, key)
+        qp = quasipoly_reduced(showcase2, key, range(showcase2.n))
         rec = sw_invariant(showcase2, key)
         assert qp.pc() == -rec.normalized_r
 
 
 def test_quasipoly_e8_closed_form(e8):
-    qp = quasipoly_full(e8, e8.zero())
+    qp = quasipoly_reduced(e8, e8.zero(), range(e8.n))
     rng = random.Random(2)
     for _ in range(5):
         l = e8.vector([rng.randint(0, 3) for _ in range(8)])
@@ -88,14 +109,17 @@ def test_quasipoly_reduced_matches_counting_deep(showcase2):
         for depth in (1, 2):
             x = g.deep_point(key, depth)
             l = x - g.rep_from_key(key)
-            assert qp.evaluate(l) == series.counting_reduced(g, x, subset)
-    assert qp.constant_by_class
+            assert qp.evaluate(l) == series.counting(g, "reduced", x, subset)
 
 
 def test_quasipoly_reduced_full_subset_degenerates(showcase2):
-    key = showcase2.classes().reps_scaled[3]
-    assert (quasipoly_reduced(showcase2, key, range(showcase2.n)).pc()
-            == quasipoly_full(showcase2, key).pc())
+    # reducing to every variable leaves the series as it is
+    g = showcase2
+    key = g.classes().reps_scaled[3]
+    x = g.deep_point(key, 2)
+    assert series.counting(g, "reduced", x, range(g.n)) == series.counting(g, "full", x)
+    assert (quasipoly_reduced(g, key, range(g.n)).pc() == pc_reduced(g, key, range(g.n))
+            == -sw_invariant(g, key).normalized_r)
 
 
 def test_component_term_of_showcase_class(showcase2):

@@ -41,7 +41,6 @@ from .graph import (
     validate,
 )
 from .series import (
-    SupportStore,
     UnivariateTable,
     coefficient,
     counting,

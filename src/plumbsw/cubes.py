@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import LatticeVector, PlumbingGraph
 from . import series
-from .sw import DEFAULT_DEPTH, _nonempty, _single_class_record, quad_term
+from .sw import DEFAULT_DEPTH, _nonempty, _records, quad_term
 
 SUBSET_SWEEP_CAP = 12
 
@@ -93,7 +93,8 @@ def swbar(g: PlumbingGraph) -> Fraction:
     """-sw(trivial class) - (K^2 + |V|)/8, measured by counting.
 
     Only the trivial class is computed, never the all-classes table."""
-    rec = _single_class_record(g, (0,) * g.n, DEFAULT_DEPTH)
+    zero = (0,) * g.n
+    rec = _records(g, [zero], DEFAULT_DEPTH)[zero]
     return -rec.sw - quad_term(g, g.zero())
 
 

@@ -5,8 +5,8 @@ In dual coordinates (writing an exponent as sum_v a_v E*_v) the coefficient
 factorizes over vertices, so a single exponent costs nothing.  Counting
 functions are finite sums of coefficients over the exponents failing a
 coordinatewise threshold; those are enumerated by a pruned DFS over dual
-coordinates, streamed in numpy batches, and tallied per class into
-histograms indexed by the bitmask of coordinates below threshold.  All
+coordinates, streamed in numpy batches, and tallied per (class, threshold)
+query into histograms indexed by the bitmask of coordinates below it.  All
 quantities are integers throughout (coordinates are pre-scaled by det(-I)),
 so nothing here is approximate.
 """
@@ -195,8 +195,8 @@ def _bit_weights(n):
 class SupportStore:
     """Materialized support points below an envelope, bucketed by class.
 
-    Used where many thresholds hit the same graph (component sweeps); the
-    buckets make per-class queries a vectorized scan.
+    No counting route uses it: it is the materialize-then-filter reference
+    that the streamed sweep is checked against.
     """
 
     def __init__(self, g: PlumbingGraph, envelope):
@@ -248,54 +248,70 @@ def _tally(acc, idx, z):
 
 def single_histogram(g: PlumbingGraph, class_key, thr):
     """Bitmask histogram for one class at one threshold (see sweep_histogram)."""
-    return sweep_histogram(g, {tuple(class_key): thr})[tuple(class_key)]
+    return sweep_histogram(g, [(tuple(class_key), thr)])[0]
 
 
-def sweep_histogram(g: PlumbingGraph, thr_by_class):
-    """Bitmask histograms for the requested classes at class-specific thresholds.
+def sweep_histogram(g: PlumbingGraph, queries):
+    """Bitmask histograms for (class key, threshold) queries, one row per query.
 
-    Entry beta of a class's histogram holds the coefficient sum over the
-    support points in the class whose set of coordinates strictly below the
-    class's threshold is exactly beta.  One enumeration, up to the largest
-    threshold of each coordinate, answers every requested class and every
-    coordinate subset at once; points of other classes are skipped.  Entry
-    beta = 0 depends on that envelope, and no counting query reads it.
-    Returns dict class_key -> histogram.
+    Entry beta of a query's row holds the coefficient sum over the support
+    points of its class whose set of coordinates strictly below its
+    threshold is exactly beta.  One enumeration, up to the largest threshold
+    of each coordinate, answers every query (several may share a class) and
+    every coordinate subset at once.  Entry beta = 0 depends on that
+    envelope, and no counting query reads it.  Rows are in query order.
     """
     n, d = g.n, g.det
-    keys = sorted(thr_by_class)
-    thr = np.array([thr_by_class[k] for k in keys], dtype=np.int64)
+    top = max(max(map(abs, t)) for _, t in queries)
+    if n * top * max(map(max, g.dual_scaled)) >= 2 ** 62:
+        raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
+    keys = np.array([k for k, _ in queries], dtype=np.int64)
+    thr = np.array([t for _, t in queries], dtype=np.int64)
+    # lexicographic order, first coordinate most significant, so the queries
+    # of one class form one run [lo, hi)
+    order = np.lexsort(keys.T[::-1])
+    keys, thr = keys[order], thr[order]
     envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
-    key_arr = np.array(keys, dtype=np.int64)
     if d ** n < 2 ** 62:
         # radix code of a class, most significant coordinate first, so the
-        # sorted keys have increasing codes
+        # sorted keys have nondecreasing codes
         pow_vec = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-        codes = key_arr @ pow_vec
+        codes = keys @ pow_vec
+        ends = np.searchsorted(codes, codes, "right")
 
-        def rows_of(mods):
+        def runs_of(mods):
             enc = mods @ pow_vec
-            rows = np.minimum(np.searchsorted(codes, enc), len(keys) - 1)
-            return np.where(codes[rows] == enc, rows, -1)
+            lo = np.minimum(np.searchsorted(codes, enc), len(keys) - 1)
+            return lo, np.where(codes[lo] == enc, ends[lo], lo)
     else:
         # the radix code would overflow int64: one equality mask per class
-        def rows_of(mods):
-            rows = np.full(len(mods), -1, dtype=np.int64)
-            for j, key in enumerate(key_arr):
-                rows[(mods == key).all(axis=1)] = j
-            return rows
+        first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+
+        def runs_of(mods):
+            lo, hi = np.zeros((2, len(mods)), dtype=np.int64)
+            for a, b in zip(first, np.r_[first[1:], len(keys)]):
+                hit = (mods == keys[a]).all(axis=1)
+                lo[hit], hi[hit] = a, b
+            return lo, hi
 
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = _bit_weights(n)
     for coords, z in _iter_chunks(g, envelope):
-        rows = rows_of(coords % d)
-        keep = rows >= 0
-        rows, coords = rows[keep], coords[keep]
-        beta = ((coords < thr[rows]) * weights).sum(axis=1)
-        _tally(acc, rows * width + beta, z[keep])
-    acc = acc.reshape(len(keys), width)
-    return {k: acc[j] for j, k in enumerate(keys)}
+        lo, hi = runs_of(coords % d)
+        # points of unqueried classes have empty runs and drop out first;
+        # then each pass tallies every point at the next query of its run
+        keep = lo < hi
+        rows, hi, coords, z = lo[keep], hi[keep], coords[keep], z[keep]
+        while len(rows):
+            beta = ((coords < thr[rows]) * weights).sum(axis=1)
+            _tally(acc, rows * width + beta, z)
+            rows += 1
+            more = rows < hi
+            rows, hi, coords, z = rows[more], hi[more], coords[more], z[more]
+    out = np.empty((len(keys), width), dtype=np.int64)
+    out[order] = acc.reshape(len(keys), width)
+    return out
 
 
 def hist_not_ge(hist, subset) -> int:
@@ -367,8 +383,6 @@ class UnivariateTable:
     """
 
     def __init__(self, g: PlumbingGraph, v: int, gamma_max: int):
-        self.g = g
-        self.v = v
         tbl = g.classes()
         d_h = tbl.order
         m = [g.dual_scaled[u][v] for u in range(g.n)]

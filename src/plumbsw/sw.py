@@ -27,6 +27,8 @@ from .errors import (
     DepthNotStable,
     FitInconsistent,
     IdentityViolation,
+    InfeasibleQuery,
+    InternalDisagreement,
     MethodPreconditionFailed,
     NotGorenstein,
 )
@@ -41,7 +43,6 @@ from .graph import (
 from . import series
 
 DEFAULT_DEPTH = 1
-STABILITY_EXTRA_TRIES = 3
 SWEEP_TABLE_LIMIT = 700        # build the all-classes table when |H| is below this
 
 
@@ -89,9 +90,20 @@ def sweep_hist(g, depth):
     """Cached all-classes histograms at the class-wise deep thresholds."""
     key = ("sweep_hist", depth)
     if key not in g._cache:
-        thr = {k: v.scaled() for k, v in _deep_vectors(g, depth).items()}
-        g._cache[key] = series.sweep_histogram(g, thr)
+        deeps = _deep_vectors(g, depth)
+        rows = series.sweep_histogram(g, [(k, x.scaled()) for k, x in deeps.items()])
+        g._cache[key] = dict(zip(deeps, rows))
     return g._cache[key]
+
+
+def _deep_counts(g, keys, depth):
+    """Deep points of the classes at depth and their histograms, from the
+    cached all-classes pass when the keys are every class."""
+    if len(keys) == g.det:
+        deeps, hists = _deep_vectors(g, depth), sweep_hist(g, depth)
+        return [deeps[ck] for ck in keys], [hists[ck] for ck in keys]
+    xs = [g.deep_point(ck, depth) for ck in keys]
+    return xs, series.sweep_histogram(g, [(ck, x.scaled()) for ck, x in zip(keys, xs)])
 
 
 def _check_depth(depth):
@@ -103,9 +115,9 @@ def _check_depth(depth):
 
 
 def _check_sum_region(g, x):
-    # the counting/quadratic correspondence needs x in -K + interior of the cone
-    for v, q in enumerate((x + g.K).scaled_pairings()):
-        if q >= 0:
+    # the counting/quadratic correspondence needs x in -K + int(cone): d (x + K, E_v) < 0
+    for v, (q, k) in enumerate(zip(x.scaled_pairings(), g.kpair)):
+        if q + g.det * k >= 0:
             raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
 
 
@@ -117,34 +129,33 @@ def _nonempty(subset):
     return subset
 
 
-def _sw_from_counting(g, class_key, depth):
-    x = g.deep_point(class_key, depth)
-    _check_sum_region(g, x)
-    return -series.counting(g, "full", x) - quad_term(g, x)
+def _records(g, keys, depth):
+    """{class_key: SwRecord} for the classes at depth, each checked stable at
+    depth + 1.  Records live in one dict per depth; the classes missing
+    there are counted with one histogram pass per depth."""
+    _check_depth(depth)
+    recs = g._cache.setdefault(("sw", depth), {})
+    todo = [ck for ck in keys if ck not in recs]
+    if todo:
+        everything = tuple(range(g.n))
+        sides = []
+        for c in (depth, depth + 1):
+            xs, hists = _deep_counts(g, todo, c)
+            for x in xs:
+                _check_sum_region(g, x)
+            sides.append([-series.hist_not_ge(hist, everything) - quad_term(g, x)
+                          for x, hist in zip(xs, hists)])
+        for ck, sw0, sw1 in zip(todo, *sides):
+            if sw0 != sw1:
+                raise DepthNotStable("class %s: %s at depth %d vs %s at depth %d"
+                                     % (ck, sw0, depth, sw1, depth + 1))
+            recs[ck] = _finish_record(g, ck, sw0, depth)
+    return {ck: recs[ck] for ck in keys}
 
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
     """SwRecord for every class, via one enumeration per depth."""
-    _check_depth(depth)
-    key = ("sw_table", depth)
-    if key not in g._cache:
-        everything = tuple(range(g.n))
-        h0 = sweep_hist(g, depth)
-        h1 = sweep_hist(g, depth + 1)
-        records = {}
-        for ck in g.classes().reps_scaled:
-            x0 = _deep_vectors(g, depth)[ck]
-            x1 = _deep_vectors(g, depth + 1)[ck]
-            sw0 = -series.hist_not_ge(h0[ck], everything) - quad_term(g, x0)
-            sw1 = -series.hist_not_ge(h1[ck], everything) - quad_term(g, x1)
-            if sw0 != sw1:
-                raise DepthNotStable(
-                    "class %s: %s at depth %d vs %s at depth %d"
-                    % (ck, sw0, depth, sw1, depth + 1)
-                )
-            records[ck] = _finish_record(g, ck, sw0, depth)
-        g._cache[key] = records
-    return g._cache[key]
+    return _records(g, g.classes().reps_scaled, depth)
 
 
 def _finish_record(g, class_key, sw, depth):
@@ -162,39 +173,16 @@ def _finish_record(g, class_key, sw, depth):
 def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     """The invariant of the class of h, stable under depth + 1.
 
-    h may be a LatticeVector in the dual lattice or a class key.  Small
-    class groups are swept once and cached; otherwise the one class is
-    computed alone, deepening automatically if two consecutive depths
-    disagree (which would mean the chosen point was not deep enough).
-    Records are cached per requested depth, whichever route computed them.
+    h may be a LatticeVector in the dual lattice or a class key.  A record
+    cached at this depth is returned; otherwise small class groups are
+    swept whole and larger ones count the one class alone.
     """
-    _check_depth(depth)
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    if g.det <= SWEEP_TABLE_LIMIT and ("sw", ck, depth) not in g._cache:
-        return sw_table(g, depth)[ck]
-    return _single_class_record(g, ck, depth)
-
-
-def _single_class_record(g, ck, depth):
-    """The record of one class at the requested depth: from the cached table
-    or an earlier call, else the class computed alone, deepening while two
-    consecutive depths disagree."""
-    table = g._cache.get(("sw_table", depth))
-    if table is not None:
-        return table[ck]
-    key = ("sw", ck, depth)
-    if key in g._cache:
-        return g._cache[key]
-    c = depth
-    prev = _sw_from_counting(g, ck, c)
-    for _ in range(STABILITY_EXTRA_TRIES):
-        cur = _sw_from_counting(g, ck, c + 1)
-        if cur == prev:
-            g._cache[key] = _finish_record(g, ck, cur, c)
-            return g._cache[key]
-        prev = cur
-        c += 1
-    raise DepthNotStable("class %s of graph with det %d" % (ck, g.det))
+    rec = g._cache.get(("sw", depth), {}).get(ck)
+    if rec is None:
+        keys = g.classes().reps_scaled if g.det <= SWEEP_TABLE_LIMIT else [ck]
+        rec = _records(g, keys, depth)[ck]
+    return rec
 
 
 def component_term(comp: PlumbingGraph, y: LatticeVector) -> Fraction:
@@ -378,26 +366,30 @@ def _component_counts(forest, xs):
     """Full counts of every component of T - subset at the restriction of
     each point of xs: one list of per-component counts per point.
 
-    One point streams one histogram per component.  Several points share
-    one support store per component, with the restrictions of all points
-    obtained in one integer matrix product (restriction is the adjugate
-    acting on the pairing vector).
+    The restrictions of all points to a component come from one integer
+    matrix product (restriction is the adjugate acting on the pairing
+    vector), checked against the pairings it must reproduce, and one query
+    pass over the component counts them all.
     """
-    if len(xs) == 1:
-        return [[series.counting(comp, "full", dual_restrict(xs[0], comp, origin))
-                 for comp, origin in forest]]
     d = xs[0].graph.det
     # pairing matrix rows: (x, E_w), integers since x is in the dual lattice
-    pairs = np.array([[q // d for q in x.scaled_pairings()] for x in xs], dtype=np.int64)
+    pairs = [[q // d for q in x.scaled_pairings()] for x in xs]
     counts = [[] for _ in xs]
     for comp, origin in forest:
-        dmat = np.array(comp.dual_scaled, dtype=np.int64)     # [v][w] = d_i (E*_v)_w
-        y_scaled = -pairs[:, list(origin)] @ dmat             # rows: d_i-scaled j*(x)
-        env = [int(e) if e > 0 else None for e in y_scaled.max(axis=0)]
-        store = series.SupportStore(comp, env)
-        everything = tuple(range(comp.n))
-        for row, y in zip(counts, y_scaled.tolist()):
-            row.append(store.sum_not_ge(tuple(c % comp.det for c in y), y, everything))
+        own = [[row[u] for u in origin] for row in pairs]
+        # |y| <= n_i top max(d_i E*_v), and the pairing check multiplies by a row of I_i
+        top = max(abs(p) for row in own for p in row)
+        reach = max(len(nb) - e for e, nb in zip(comp.eulers, comp.adj))
+        if comp.n * top * max(map(max, comp.dual_scaled)) * reach >= 2 ** 62:
+            raise InfeasibleQuery("restriction to %s would overflow int64" % (comp.ids,))
+        own = np.array(own, dtype=np.int64)
+        y_scaled = -own @ np.array(comp.dual_scaled, dtype=np.int64)   # rows: d_i j*(x)
+        if (y_scaled @ np.array(comp.matrix, dtype=np.int64) != comp.det * own).any():
+            raise InternalDisagreement("restriction to %s does not pair like x" % (comp.ids,))
+        ys = y_scaled.tolist()
+        hists = series.sweep_histogram(comp, [(tuple(c % comp.det for c in y), y) for y in ys])
+        for row, hist in zip(counts, hists):
+            row.append(series.hist_not_ge(hist, range(comp.n)))
     return counts
 
 
@@ -417,17 +409,13 @@ def _counting_surgery(g, keys, subset, depths):
     everything = tuple(range(g.n))
     items = {ck: [] for ck in keys}
     for depth in depths:
-        if len(keys) == g.det:
-            deeps, hists = _deep_vectors(g, depth), sweep_hist(g, depth)
-        else:
-            deeps = {ck: g.deep_point(ck, depth) for ck in keys}
-            hists = series.sweep_histogram(g, {ck: x.scaled() for ck, x in deeps.items()})
-        comps = _component_counts(forest, [deeps[ck] for ck in keys])
-        for ck, comp_vals in zip(keys, comps):
+        xs, hists = _deep_counts(g, keys, depth)
+        comps = _component_counts(forest, xs)
+        for ck, hist, comp_vals in zip(keys, hists, comps):
             items[ck].append({
                 "depth": depth,
-                "full": series.hist_not_ge(hists[ck], everything),
-                "reduced": series.hist_not_ge(hists[ck], subset),
+                "full": series.hist_not_ge(hist, everything),
+                "reduced": series.hist_not_ge(hist, subset),
                 "components": comp_vals,
             })
     reports = {}

@@ -59,6 +59,14 @@ def test_coeff_and_count(corpus_dir, capsys):
     assert code == 0 and rep["value"] > 0
 
 
+def test_overlong_threshold_is_infeasible(corpus_dir, capsys):
+    # a threshold whose enumeration would leave int64 is a usage error
+    code, rep = run_json(
+        ["count", "--graph", str(corpus_dir / "a1.pg"),
+         "--threshold", "100000000000000000000000"], capsys)
+    assert code == 2 and rep["error"] == "InfeasibleQuery"
+
+
 def test_sw_e8(corpus_dir, capsys):
     code, rep = run_json(
         ["sw", "--graph", str(corpus_dir / "e8.pg"), "--class", "0,0,0,0,0,0,0,0"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from plumbsw import fixtures as fx
+from plumbsw import series
 from plumbsw.errors import BoundViolation, InfeasibleQuery, NotInDualLattice, PlumbingError
 from plumbsw.graph import class_of, connected_closure, dual_restrict, minimal_s_rep, validate
 from plumbsw.series import (
@@ -14,6 +15,7 @@ from plumbsw.series import (
     coefficient,
     counting,
     hist_all_lt,
+    hist_not_ge,
     single_histogram,
     support_bound_report,
     sweep_histogram,
@@ -101,8 +103,12 @@ def test_counting_class_decomposition(showcase2):
     g = showcase2
     thr = [16] * g.n                            # scaled threshold (1,...,1)
     store = SupportStore(g, thr)
-    split = sum(store.sum_not_ge(key, thr, tuple(range(g.n)))
-                for key in g.classes().reps_scaled)
+    keys = g.classes().reps_scaled
+    sums = [store.sum_not_ge(key, thr, tuple(range(g.n))) for key in keys]
+    split = sum(sums)
+    # one multi-query sweep gives the same per-class sums
+    rows = sweep_histogram(g, [(key, thr) for key in keys])
+    assert [hist_not_ge(row, range(g.n)) for row in rows] == sums
     x = g.vector([1] * g.n)
     xs = x.scaled()
     window = brute_series(g, 20)
@@ -113,6 +119,16 @@ def test_counting_class_decomposition(showcase2):
         if any(coords[w] < xs[w] for w in range(g.n)):
             plain += z
     assert split == plain
+
+
+def test_overlong_threshold_raises_before_enumeration(a2, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.setattr(series, "_iter_batches", walk)
+    for c in (10 ** 23, -10 ** 23):
+        with pytest.raises(InfeasibleQuery):
+            counting(a2, "full", a2.vector([c, 0]))
 
 
 def test_query_validation(showcase2):
@@ -241,20 +257,28 @@ def test_sweep_matches_single_histograms(build):
     # of the class, or one equality mask per class where the code would
     # overflow int64 (d^9 >= 2^62 for d = 163 and 124).  With d = 124 no
     # single coordinate names the class, as it does for the prime 163.
+    # One more call puts two queries on every class, at its depth-1 and
+    # depth-2 thresholds, so each class owns a run of two rows.
     g = build()
     assert (g.det ** g.n >= 2 ** 62) == (g.n == 9)
     keys = g.classes().reps_scaled
+    both = []
     for depth in (1, 2):
         thr = {k: g.deep_point(k, depth).scaled() for k in keys}
-        swept = sweep_histogram(g, thr)
-        assert sorted(swept) == sorted(keys)
-        some = sweep_histogram(g, {k: thr[k] for k in keys[::3]})
-        assert sorted(some) == sorted(keys[::3])
-        for k in keys:
+        both += thr.items()
+        swept = sweep_histogram(g, list(thr.items()))
+        assert len(swept) == len(keys)
+        some = sweep_histogram(g, [(k, thr[k]) for k in keys[::3]])
+        assert len(some) == len(keys[::3])
+        for j, k in enumerate(keys):
             # entry 0 holds the points below the threshold on no coordinate;
             # it depends on the enumeration envelope and no query reads it
             single = single_histogram(g, k, thr[k])
             assert single[1:].any()
-            assert (swept[k][1:] == single[1:]).all()
-            if k in some:
-                assert (some[k][1:] == single[1:]).all()
+            assert (swept[j][1:] == single[1:]).all()
+            if j % 3 == 0:
+                assert (some[j // 3][1:] == single[1:]).all()
+    rows = sweep_histogram(g, both)
+    assert len(rows) == 2 * len(keys)
+    for (k, t), row in zip(both, rows):
+        assert (row[1:] == single_histogram(g, k, t)[1:]).all()

@@ -9,11 +9,13 @@ from plumbsw import series
 from plumbsw import sw as sw_module
 from plumbsw.cubes import swbar
 from plumbsw.errors import (
+    BoundViolation,
     ComponentNotRational,
     IdentityViolation,
+    InfeasibleQuery,
     MethodPreconditionFailed,
 )
-from plumbsw.graph import class_of, dual_restrict, minimal_s_rep
+from plumbsw.graph import PlumbingGraph, class_of, dual_restrict, minimal_s_rep
 from plumbsw.sw import (
     component_term,
     counting_surgery_sweep,
@@ -75,6 +77,28 @@ def test_sw_invariant_caches_records_per_depth(monkeypatch):
         rec = sw_invariant(g, zero, depth=3)
         assert rec.depth_used == 3
         assert -rec.sw - quad_term(g, g.zero()) == bar
+
+
+def test_records_check_the_deep_point_region(monkeypatch):
+    # demands far below the cone leave every deep point at its class
+    # representative, outside -K + int(cone): the all-classes table and the
+    # one-class route both refuse to read an invariant there
+    monkeypatch.setattr(PlumbingGraph, "deep_demands", lambda self, depth: [-10 ** 6] * self.n)
+    for limit in (sw_module.SWEEP_TABLE_LIMIT, 0):
+        monkeypatch.setattr(sw_module, "SWEEP_TABLE_LIMIT", limit)
+        with pytest.raises(BoundViolation):
+            sw_table(fx.ade_graph("D4"))
+        with pytest.raises(BoundViolation):
+            sw_invariant(fx.ade_graph("D4"), (0,) * 4)
+
+
+def test_component_counts_refuse_an_overflowing_restriction(showcase2):
+    # the int64 restriction product is bounded before it is formed
+    g = showcase2
+    forest = g.components_minus(g.nodes)
+    huge = g.vector([10 ** 19] * g.n)
+    with pytest.raises(InfeasibleQuery):
+        sw_module._component_counts(forest, [g.deep_point(g.classes().reps_scaled[1], 1), huge])
 
 
 def test_quasipoly_full_matches_counting_deep(showcase2):

@@ -1,0 +1,108 @@
+"""Byte-identity check of the command-line reports on the fixture corpus.
+
+Writes the ``plumbsw fixtures`` corpus to a temporary directory, runs a
+fixed command set in-process through ``plumbsw.cli.run`` and prints one line
+per command: the exit code, the SHA-256 of everything the command printed,
+and its argv, with the corpus directory written as ``<corpus>`` in both.
+Run it on two source trees and compare:
+
+    PYTHONPATH=<old>/src python3 tools/cli_digest.py > old.txt
+    PYTHONPATH=<new>/src python3 tools/cli_digest.py > new.txt
+    diff old.txt new.txt
+
+The command set, per fixture: ``validate``, ``info``, ``sw`` for every
+class, for ``#0`` at depth 2 and for the manifest class; ``pc`` in three
+methods for two classes; ``surgery`` in four modes over three subsets for
+two classes, plus ``--class all`` in counting mode per subset;
+``gorenstein`` on two subsets; ``count`` in three modes; ``coeff``.  Then
+usage errors on ``a2`` and an over-long threshold on ``a1``.  An exception
+that escapes ``cli.run`` is recorded as exit 1, the interpreter's code for
+it, with its type hashed after the output.  The 695 commands take about
+five minutes on one core, most of it on ``ex_graph1``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from plumbsw import cli
+
+
+def commands(corpus):
+    """The argv lists, in a fixed order, for a corpus written to `corpus`."""
+    with open(os.path.join(corpus, "manifest.json"), encoding="utf-8") as fh:
+        entries = json.load(fh)["fixtures"]
+    out = []
+    for entry in entries:
+        path = os.path.join(corpus, entry["file"])
+        n, det = entry["vertices"], entry["det"]
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline().split()[1]          # id of the first vertex
+        classes = ["#0"] + (["#%d" % (det // 2)] if det > 1 else [])
+        subsets = ["nodes", "leaves", first]
+        ones = ",".join(["1"] * n)
+        g = ["--graph", path]
+        out += [["validate"] + g, ["info"] + g,
+                ["sw"] + g + ["--class", "all"],
+                ["sw"] + g + ["--class", "#0", "--depth", "2"],
+                ["sw"] + g + ["--class", "auto"]]
+        for cls in classes:
+            for method, subset in (("closed_form", "nodes"), ("univariate_fit", first),
+                                   ("gorenstein", "all")):
+                out.append(["pc"] + g + ["--class", cls, "--subset", subset,
+                                         "--method", method])
+        for subset in subsets:
+            for mode in ("counting", "pc", "red1", "red2"):
+                for cls in classes:
+                    out.append(["surgery"] + g + ["--class", cls, "--subset", subset,
+                                                  "--mode", mode])
+            out.append(["surgery"] + g + ["--class", "all", "--subset", subset])
+        for subset in ("all", "leaves"):
+            out.append(["gorenstein"] + g + ["--subset", subset])
+        for mode in ("full", "reduced", "modified"):
+            out.append(["count"] + g + ["--threshold", ones, "--mode", mode,
+                                        "--subset", "leaves"])
+        out.append(["coeff"] + g + ["--exponent", ones])
+    a1, a2 = (["--graph", os.path.join(corpus, name)] for name in ("a1.pg", "a2.pg"))
+    out += [["count"] + a2 + ["--threshold", "1,1", "--mode", "reduced", "--subset", "zzz"],
+            ["count"] + a2 + ["--threshold", "1"],
+            ["sw"] + a2 + ["--class", "#99"],
+            ["surgery"] + a2 + ["--class", "#0", "--subset", "v1", "--mode", "bogus"],
+            ["info", "--graph", os.path.join(corpus, "missing.pg")],
+            ["count"] + a1 + ["--threshold", "100000000000000000000000"]]
+    return out
+
+
+def run_one(argv, corpus):
+    """(exit code, SHA-256 hex digest of the printed output) of one command,
+    with the corpus directory in the output written as <corpus>."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except Exception as exc:                # what the interpreter exits 1 on
+            code = 1
+            buf.write(type(exc).__name__)
+    text = buf.getvalue().replace(corpus, "<corpus>")
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as corpus:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(["fixtures", "--out", corpus])
+        for argv in commands(corpus):
+            code, digest = run_one(argv, corpus)
+            shown = " ".join(a.replace(corpus, "<corpus>") for a in argv)
+            print(code, digest, shown, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

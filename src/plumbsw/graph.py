@@ -263,9 +263,11 @@ class PlumbingGraph:
                    for w in range(self.n))
         if self.scaled_pairings(kc) != tuple(d * k for k in self.kpair):
             raise InternalDisagreement("canonical cycle fails the adjunction relations")
-        self.K = _from_scaled(self, kc)
-        self.ZK = -self.K
-        self.numerically_gorenstein = self.K.is_integral()
+        # the graph keeps only coordinate tuples, never a vector of itself: a
+        # vector points back at its graph, and that cycle would leave a dropped
+        # graph to the cyclic garbage collector
+        self._k = kc
+        self.numerically_gorenstein = not any(c % d for c in kc)
         self.nodes = tuple(v for v in range(self.n) if self.delta[v] >= 3)
         self.ends = tuple(v for v in range(self.n) if self.delta[v] <= 1)
         self._class_table = None
@@ -294,6 +296,16 @@ class PlumbingGraph:
                     stack.append(w)
         if len(seen) != self.n:
             raise NotATree("graph is disconnected")
+
+    @property
+    def K(self):
+        """The canonical cycle."""
+        return _from_scaled(self, self._k)
+
+    @property
+    def ZK(self):
+        """The anticanonical cycle Z_K = -K."""
+        return _from_scaled(self, tuple(-c for c in self._k))
 
     # -- basic lattice arithmetic -------------------------------------------
 
@@ -399,8 +411,8 @@ class PlumbingGraph:
     def fundamental_cycle(self):
         if "zmin" not in self._cache:
             start = _from_scaled(self, (self.det,) * self.n)
-            self._cache["zmin"] = self.laufer(start, [0] * self.n)
-        return self._cache["zmin"]
+            self._cache["zmin"] = self.laufer(start, [0] * self.n).scaled()
+        return _from_scaled(self, self._cache["zmin"])
 
     def deep_demands(self, depth):
         """Dual-coordinate floor making every counting identity applicable.

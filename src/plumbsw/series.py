@@ -4,11 +4,11 @@ The series is the Taylor expansion of prod_v (1 - t^{E*_v})^(delta_v - 2).
 In dual coordinates (writing an exponent as sum_v a_v E*_v) the coefficient
 factorizes over vertices, so a single exponent costs nothing.  Counting
 functions are finite sums of coefficients over the exponents failing a
-coordinatewise threshold; those are enumerated by a pruned DFS over dual
-coordinates, streamed in numpy batches, and tallied per (class, threshold)
-query into histograms indexed by the bitmask of coordinates below it.  All
-quantities are integers throughout (coordinates are pre-scaled by det(-I)),
-so nothing here is approximate.
+coordinatewise threshold; those are enumerated by one numpy frontier over
+dual coordinates, streamed in bounded chunks, and tallied per (class,
+threshold) query into histograms indexed by the bitmask of coordinates below
+it.  All quantities are integers throughout (coordinates are pre-scaled by
+det(-I)), so nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ def _sign_binom(m, b):
     return (-1) ** b * math.comb(m, b)
 
 
+def _vertex_factor(dv, a):
+    """Coefficient of t^a in (1 - t)^(dv - 2): the factor a vertex of valency
+    dv contributes at dual coordinate a >= 0.  That is a + 1 at an isolated
+    vertex, 1 at an end and a signed binomial otherwise (zero past dv - 2).
+    a is an int, or an int64 array whose entries stay at most dv - 2."""
+    if dv <= 1:
+        return a + 1 if dv == 0 else 1
+    if isinstance(a, np.ndarray):
+        return np.array([_sign_binom(dv - 2, b) for b in range(dv - 1)], dtype=np.int64)[a]
+    return _sign_binom(dv - 2, a)
+
+
 def coefficient(g: PlumbingGraph, x: LatticeVector) -> int:
     """Series coefficient at exponent x.
 
@@ -48,27 +60,19 @@ def coefficient(g: PlumbingGraph, x: LatticeVector) -> int:
     q = x.scaled_pairings()                   # -d times the dual coordinates
     if any(c % d for c in q):
         raise NotInDualLattice("exponent is not in the dual lattice")
+    a = [-c // d for c in q]
+    if min(a) < 0:
+        return 0
     z = 1
-    for v, c in enumerate(q):
-        a = -c // d
-        if a < 0:
-            return 0
-        dv = g.delta[v]
-        if dv == 0:
-            z *= a + 1
-        elif dv == 1:
-            pass
-        elif dv == 2:
-            if a != 0:
-                return 0
-        else:
-            if a > dv - 2:
-                return 0
-            z *= _sign_binom(dv - 2, a)
+    for dv, av in zip(g.delta, a):
+        z *= _vertex_factor(dv, av)
     return z
 
 
 # -- enumeration core ---------------------------------------------------------
+
+CHUNK_ROWS = 1 << 16
+POINT_LIMIT = 10 ** 12      # refuse enumerations that could yield more points
 
 
 def _count_below(r, m):
@@ -78,114 +82,76 @@ def _count_below(r, m):
     return (r - 1) // m + 1
 
 
+def _point_bound(g, envelope):
+    """Upper bound on the points _iter_batches yields below an envelope: the
+    sum over tracked w of the product over vertices of the number of values
+    a_v with a_v (d E*_v)_w < envelope[w], at most delta_v - 1 of them where
+    delta_v >= 2."""
+    total = 0
+    for w, top in enumerate(envelope):
+        if top is None:
+            continue
+        points = 1
+        for col, dv in zip(g.dual_scaled, g.delta):
+            runs = _count_below(top, col[w])
+            points *= runs if dv <= 1 else min(runs, dv - 1)
+        total += points
+    return total
+
+
 def _iter_batches(g: PlumbingGraph, envelope):
     """Yield (coords, z) numpy batches over the support points l' with
     coord_w < envelope[w] for at least one tracked w.
 
     envelope: per-coordinate strict upper bounds in d-scaled units, or None
     for untracked coordinates.  coords batches are int64 arrays (k, n) of
-    d-scaled coordinates; z is a python int, or an int64 array for the
-    isolated-vertex graph whose coefficients grow linearly.
+    d-scaled coordinates, z the int64 coefficients, k at most CHUNK_ROWS.
 
-    The two free vertices with the longest runs are emitted as one ragged
-    two-dimensional block per prefix, so python-level work scales with the
-    number of prefixes, not points.
+    One frontier of partial points walks the vertices with a free dual
+    coordinate.  Each vertex expands every live row with the same
+    vectorized step, and the expansion is visited depth first in windows of
+    at most CHUNK_ROWS rows.  Each suspended vertex level keeps one window
+    alive, so memory is bounded by (number of levels) x CHUNK_ROWS rows
+    whatever the run lengths.
     """
-    n = g.n
-    tracked = [w for w in range(n) if envelope[w] is not None and envelope[w] > 0]
+    tracked = [w for w in range(g.n) if envelope[w] is not None and envelope[w] > 0]
     if not tracked:
         return
-    cols = [list(col) for col in g.dual_scaled]
-    X = [int(envelope[w]) if w in set(tracked) else 0 for w in range(n)]
+    cols = np.array(g.dual_scaled, dtype=np.int64)         # row v: d E*_v
+    cols_t = cols[:, tracked]
+    top = np.array([envelope[w] for w in tracked], dtype=np.int64)
+    # the vertices with a free dual coordinate (valency not 2): nodes first,
+    # then ends, the longest runs (smallest dual-basis entries) last
+    run = cols_t.min(axis=1)
+    order = sorted((v for v in range(g.n) if g.delta[v] != 2),
+                   key=lambda v: (g.delta[v] <= 1, -run[v]))
 
-    loop = [v for v in range(n) if g.delta[v] != 2]
-    free = sorted((v for v in loop if g.delta[v] <= 1),
-                  key=lambda v: min(cols[v][w] for w in tracked))
-
-    if n == 1:
-        v = free[0]
-        bound = max(_count_below(X[w], cols[v][w]) for w in tracked)
-        if bound <= 0:
-            return
-        ks = np.arange(bound, dtype=np.int64)
-        coords = ks[:, None] * np.array(cols[v], dtype=np.int64)[None, :]
-        z = ks + 1 if g.delta[v] == 0 else np.ones(bound, dtype=np.int64)
-        yield coords, z
-        return
-
-    inner_v, inner_u = free[0], free[1]         # longest runs innermost
-    outer = [v for v in loop if v not in (inner_v, inner_u)]
-    outer.sort(key=lambda v: (g.delta[v] <= 1, -min(cols[v][w] for w in tracked)))
-
-    col_u = np.array(cols[inner_u], dtype=np.int64)
-    col_v = np.array(cols[inner_v], dtype=np.int64)
-    tr = np.array(tracked, dtype=np.int64)
-    col_u_t = col_u[tr]
-    col_v_t = col_v[tr]
-    cols_t = [[cols[v][w] for w in tracked] for v in range(n)]
-
-    def block(partial, sign):
-        """Ragged block over (a_u, a_v) for a fixed prefix."""
-        rem = np.array([X[w] for w in tracked], dtype=np.int64) - \
-            np.array([partial[w] for w in tracked], dtype=np.int64)
-        cap_u = int(np.max(np.where(rem > 0, (rem - 1) // col_u_t + 1, 0)))
-        if cap_u <= 0:
-            return None
-        rem2 = rem[None, :] - np.arange(cap_u, dtype=np.int64)[:, None] * col_u_t[None, :]
-        bounds = np.where(rem2 > 0, (rem2 - 1) // col_v_t + 1, 0).max(axis=1)
-        total = int(bounds.sum())
-        if total == 0:
-            return None
-        reps = np.repeat(np.arange(cap_u, dtype=np.int64), bounds)
-        offsets = np.zeros(cap_u, dtype=np.int64)
-        np.cumsum(bounds[:-1], out=offsets[1:])
-        a_v = np.arange(total, dtype=np.int64) - offsets[reps]
-        coords = (np.array(partial, dtype=np.int64)[None, :]
-                  + reps[:, None] * col_u[None, :]
-                  + a_v[:, None] * col_v[None, :])
-        return coords, np.full(total, sign, dtype=np.int64)
-
-    def rec(i, partial, sign):
-        if i == len(outer):
-            out = block(partial, sign)
-            if out is not None:
-                yield out
-            return
-        v = outer[i]
-        col = cols[v]
-        colt = cols_t[v]
-        cap = 0
-        for j, w in enumerate(tracked):
-            r = X[w] - partial[w]
-            if r > 0:
-                c = (r - 1) // colt[j] + 1
-                if c > cap:
-                    cap = c
-        if cap <= 0:
-            return
+    def windows(v, coords, z):
+        """The rows expanded by a_v = 0, 1, ... while some tracked coordinate
+        stays below its bound, in windows of at most CHUNK_ROWS rows."""
         dv = g.delta[v]
+        # ceil(remainder / step) per tracked coordinate, 0 where nothing remains
+        caps = ((np.maximum(top - coords[:, tracked], 0) - 1) // cols_t[v] + 1).max(axis=1)
         if dv >= 3:
-            cap = min(cap, dv - 1)              # exponents 0..delta-2
-        for a in range(cap):
-            cur = partial if a == 0 else tuple(partial[w] + a * col[w] for w in range(n))
-            s = sign if dv <= 1 else sign * _sign_binom(dv - 2, a)
-            yield from rec(i + 1, cur, s)
+            np.minimum(caps, dv - 1, out=caps)              # exponents 0..delta-2
+        ends = np.cumsum(caps)
+        total = int(ends[-1])
+        for start in range(0, total, CHUNK_ROWS):
+            idx = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
+            rows = np.searchsorted(ends, idx, "right")
+            a = idx - ends[rows] + caps[rows]
+            yield coords[rows] + a[:, None] * cols[v], z[rows] * _vertex_factor(dv, a)
 
-    yield from rec(0, tuple([0] * n), 1)
-
-
-def _iter_chunks(g: PlumbingGraph, envelope):
-    """Concatenate enumeration batches into chunks of at least 2^16 rows."""
-    pend_c, pend_z, size = [], [], 0
-    for coords, z in _iter_batches(g, envelope):
-        pend_c.append(coords)
-        pend_z.append(z)
-        size += len(coords)
-        if size >= 1 << 16:
-            yield np.concatenate(pend_c, axis=0), np.concatenate(pend_z)
-            pend_c, pend_z, size = [], [], 0
-    if size:
-        yield np.concatenate(pend_c, axis=0), np.concatenate(pend_z)
+    # depth first: stack[i] walks the windows of vertex order[i]
+    stack = [windows(order[0], np.zeros((1, g.n), dtype=np.int64), np.ones(1, dtype=np.int64))]
+    while stack:
+        batch = next(stack[-1], None)
+        if batch is None:
+            stack.pop()
+        elif len(stack) == len(order):
+            yield batch
+        else:
+            stack.append(windows(order[len(stack)], *batch))
 
 
 def _bit_weights(n):
@@ -267,11 +233,15 @@ def sweep_histogram(g: PlumbingGraph, queries):
         raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
     keys = np.array([k for k, _ in queries], dtype=np.int64)
     thr = np.array([t for _, t in queries], dtype=np.int64)
+    envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
+    bound = _point_bound(g, envelope)
+    if bound > POINT_LIMIT:
+        raise InfeasibleQuery("threshold too large: up to %d support points to enumerate, "
+                              "more than %d" % (bound, POINT_LIMIT))
     # lexicographic order, first coordinate most significant, so the queries
     # of one class form one run [lo, hi)
     order = np.lexsort(keys.T[::-1])
     keys, thr = keys[order], thr[order]
-    envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
     if d ** n < 2 ** 62:
         # radix code of a class, most significant coordinate first, so the
         # sorted keys have nondecreasing codes
@@ -297,7 +267,7 @@ def sweep_histogram(g: PlumbingGraph, queries):
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = _bit_weights(n)
-    for coords, z in _iter_chunks(g, envelope):
+    for coords, z in _iter_batches(g, envelope):
         lo, hi = runs_of(coords % d)
         # points of unqueried classes have empty runs and drop out first;
         # then each pass tallies every point at the next query of its run
@@ -491,12 +461,8 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
     cols = g.dual_scaled
     for a in itertools.product(*[range(c + 1) for c in caps]):
         z = 1
-        for v, av in enumerate(a):
-            dv = g.delta[v]
-            if dv == 0:
-                z *= av + 1
-            elif dv >= 3 and av:
-                z *= _sign_binom(dv - 2, av)
+        for dv, av in zip(g.delta, a):
+            z *= _vertex_factor(dv, av)
         proj = tuple(sum(a[v] * cols[v][w] for v in range(n)) for w in v2)
         fibers[proj] = fibers.get(proj, 0) + z
 

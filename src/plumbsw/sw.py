@@ -35,6 +35,7 @@ from .errors import (
 from .graph import (
     LatticeVector,
     PlumbingGraph,
+    _from_scaled,
     dual_restrict,
     fraction_text,
     is_rational,
@@ -78,11 +79,12 @@ class SwRecord:
         }
 
 
-def _deep_vectors(g, depth):
-    key = ("deep_vecs", depth)
+def _deep_scaled(g, depth):
+    """{class key: d-scaled deep point} over every class, cached as tuples."""
+    key = ("deep_scaled", depth)
     if key not in g._cache:
         tbl = g.classes()
-        g._cache[key] = {k: g.deep_point(k, depth) for k in tbl.reps_scaled}
+        g._cache[key] = {k: g.deep_point(k, depth).scaled() for k in tbl.reps_scaled}
     return g._cache[key]
 
 
@@ -90,8 +92,8 @@ def sweep_hist(g, depth):
     """Cached all-classes histograms at the class-wise deep thresholds."""
     key = ("sweep_hist", depth)
     if key not in g._cache:
-        deeps = _deep_vectors(g, depth)
-        rows = series.sweep_histogram(g, [(k, x.scaled()) for k, x in deeps.items()])
+        deeps = _deep_scaled(g, depth)
+        rows = series.sweep_histogram(g, list(deeps.items()))
         g._cache[key] = dict(zip(deeps, rows))
     return g._cache[key]
 
@@ -100,8 +102,8 @@ def _deep_counts(g, keys, depth):
     """Deep points of the classes at depth and their histograms, from the
     cached all-classes pass when the keys are every class."""
     if len(keys) == g.det:
-        deeps, hists = _deep_vectors(g, depth), sweep_hist(g, depth)
-        return [deeps[ck] for ck in keys], [hists[ck] for ck in keys]
+        deeps, hists = _deep_scaled(g, depth), sweep_hist(g, depth)
+        return [_from_scaled(g, deeps[ck]) for ck in keys], [hists[ck] for ck in keys]
     xs = [g.deep_point(ck, depth) for ck in keys]
     return xs, series.sweep_histogram(g, [(ck, x.scaled()) for ck, x in zip(keys, xs)])
 
@@ -131,7 +133,8 @@ def _nonempty(subset):
 
 def _records(g, keys, depth):
     """{class_key: SwRecord} for the classes at depth, each checked stable at
-    depth + 1.  Records live in one dict per depth; the classes missing
+    depth + 1.  The record values live in one dict per depth, without the
+    graph, so the cache holds no reference back to g; the classes missing
     there are counted with one histogram pass per depth."""
     _check_depth(depth)
     recs = g._cache.setdefault(("sw", depth), {})
@@ -149,25 +152,14 @@ def _records(g, keys, depth):
             if sw0 != sw1:
                 raise DepthNotStable("class %s: %s at depth %d vs %s at depth %d"
                                      % (ck, sw0, depth, sw1, depth + 1))
-            recs[ck] = _finish_record(g, ck, sw0, depth)
-    return {ck: recs[ck] for ck in keys}
+            s, _delta = minimal_s_rep(g, ck)
+            recs[ck] = (sw0, sw0 + quad_term(g, g.rep_from_key(ck)), sw0 + quad_term(g, s))
+    return {ck: SwRecord(g, ck, *recs[ck], depth) for ck in keys}
 
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
     """SwRecord for every class, via one enumeration per depth."""
     return _records(g, g.classes().reps_scaled, depth)
-
-
-def _finish_record(g, class_key, sw, depth):
-    s, _delta = minimal_s_rep(g, class_key)
-    return SwRecord(
-        graph=g,
-        class_key=class_key,
-        sw=sw,
-        normalized_r=sw + quad_term(g, g.rep_from_key(class_key)),
-        normalized_s=sw + quad_term(g, s),
-        depth_used=depth,
-    )
 
 
 def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
@@ -178,11 +170,11 @@ def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     swept whole and larger ones count the one class alone.
     """
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    rec = g._cache.get(("sw", depth), {}).get(ck)
-    if rec is None:
+    values = g._cache.get(("sw", depth), {}).get(ck)
+    if values is None:
         keys = g.classes().reps_scaled if g.det <= SWEEP_TABLE_LIMIT else [ck]
-        rec = _records(g, keys, depth)[ck]
-    return rec
+        return _records(g, keys, depth)[ck]
+    return SwRecord(g, ck, *values, depth)
 
 
 def component_term(comp: PlumbingGraph, y: LatticeVector) -> Fraction:

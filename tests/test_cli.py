@@ -60,11 +60,13 @@ def test_coeff_and_count(corpus_dir, capsys):
 
 
 def test_overlong_threshold_is_infeasible(corpus_dir, capsys):
-    # a threshold whose enumeration would leave int64 is a usage error
-    code, rep = run_json(
-        ["count", "--graph", str(corpus_dir / "a1.pg"),
-         "--threshold", "100000000000000000000000"], capsys)
-    assert code == 2 and rep["error"] == "InfeasibleQuery"
+    # a threshold whose enumeration would leave int64, or yield more points
+    # than could ever be counted, is a usage error
+    for threshold in ("100000000000000000000000", "1000000000000000"):
+        code, rep = run_json(
+            ["count", "--graph", str(corpus_dir / "a1.pg"), "--threshold", threshold],
+            capsys)
+        assert code == 2 and rep["error"] == "InfeasibleQuery"
 
 
 def test_sw_e8(corpus_dir, capsys):

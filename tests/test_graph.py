@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plumbsw import cubes
 from plumbsw import fixtures as fx
 from plumbsw.errors import (
     DuplicateVertex,
@@ -23,7 +26,7 @@ from plumbsw.graph import (
     parse_graph_json,
     validate,
 )
-from plumbsw.sw import quad_term
+from plumbsw.sw import quad_term, sw_table
 from conftest import FractionLattice, det_cofactor, leading_minors
 
 
@@ -333,3 +336,21 @@ def test_definiteness_failure_names_first_bad_leading_minor(seed):
     with pytest.raises(NotNegativeDefinite) as err:
         validate(ids, eulers, edges)
     assert (err.value.minor_index, err.value.minor_value) == (bad, minors[bad - 1])
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector():
+    # nothing a graph caches points back at the graph, so reference counting
+    # alone frees it once the caller drops it
+    gc.disable()
+    try:
+        g = fx.showcase_star()
+        sw_table(g)
+        g.components_minus([0])
+        g.fundamental_cycle()
+        is_rational(g)
+        cubes.swbar(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

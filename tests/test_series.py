@@ -126,7 +126,8 @@ def test_overlong_threshold_raises_before_enumeration(a2, monkeypatch):
         raise AssertionError("the enumeration ran")
 
     monkeypatch.setattr(series, "_iter_batches", walk)
-    for c in (10 ** 23, -10 ** 23):
+    # 10^23 would leave int64; 10^15 fits, but asks for about 10^30 points
+    for c in (10 ** 23, -10 ** 23, 10 ** 15):
         with pytest.raises(InfeasibleQuery):
             counting(a2, "full", a2.vector([c, 0]))
 
@@ -228,22 +229,38 @@ def test_support_bound_report_rejects_disconnected(showcase1):
 
 def test_support_terms_match_coefficient(showcase2):
     # the enumeration yields every support point below the cut once, with
-    # its coefficient
-    g = showcase2
-    thr = g.vector([1] * g.n).scaled()
-    seen = {}
-    for coords, z in _iter_batches(g, thr):
-        for row, zv in zip(coords.tolist(), z.tolist()):
-            if all(c >= t for c, t in zip(row, thr)):
-                continue
-            exponent = g.vector([Fraction(c, g.det) for c in row])
-            assert zv != 0
-            a = exponent.dual_coords()
-            assert all(c.denominator == 1 and c >= 0 for c in a)
-            assert coefficient(g, exponent) == zv
-            assert exponent.coords not in seen      # each exponent appears once
-            seen[exponent.coords] = zv
-    assert seen[g.zero().coords] == 1
+    # its coefficient: on one node, on an isolated vertex (factor a + 1), on
+    # a node-free string and on two nodes
+    for g in (showcase2, fx.ade_graph("A1"), fx.string_graph([-3, -2, -2, -3, -2]),
+              fx.showcase_two_nodes()):
+        thr = g.vector([1] * g.n).scaled()
+        seen = {}
+        for coords, z in _iter_batches(g, thr):
+            for row, zv in zip(coords.tolist(), z.tolist()):
+                if all(c >= t for c, t in zip(row, thr)):
+                    continue
+                exponent = g.vector([Fraction(c, g.det) for c in row])
+                assert zv != 0
+                a = exponent.dual_coords()
+                assert all(c.denominator == 1 and c >= 0 for c in a)
+                assert coefficient(g, exponent) == zv
+                assert exponent.coords not in seen      # each exponent appears once
+                seen[exponent.coords] = zv
+        assert seen[g.zero().coords] == 1
+        assert len(seen) > 1
+
+
+def test_enumeration_chunks_are_bounded():
+    # a single run of a million points comes in chunks of at most 2^16 rows
+    g = fx.ade_graph("A1")
+    top = 10 ** 6
+    sizes, total = [], 0
+    for coords, z in _iter_batches(g, [top]):
+        sizes.append(len(coords))
+        total += int(z.sum())
+    assert max(sizes) <= 1 << 16
+    assert sum(sizes) == top
+    assert total == top * (top + 1) // 2          # coefficient a + 1 at a = 0..top-1
 
 
 @pytest.mark.parametrize("build", [

@@ -67,7 +67,17 @@ def test_sw_invariant_caches_records_per_depth(monkeypatch):
     deeper = sw_invariant(g, zero, depth=3)
     assert (first.depth_used, deeper.depth_used) == (1, 3)
     assert deeper.sw == first.sw
-    assert sw_invariant(g, zero, depth=1) is first
+    # the depth-1 record is read back from the cache, not counted again
+    assert zero in g._cache[("sw", 1)]
+
+    def recount(*args):
+        raise AssertionError("the cached record was counted again")
+
+    with monkeypatch.context() as m:
+        m.setattr(sw_module, "_deep_counts", recount)
+        m.setattr(series, "sweep_histogram", recount)
+        m.setattr(series, "hist_not_ge", recount)
+        assert sw_invariant(g, zero, depth=1) == first
     # single-class route: swbar records the trivial class at the default depth
     # only, whether the later request goes through the table or alone
     for limit in (sw_module.SWEEP_TABLE_LIMIT, 0):

@@ -15,9 +15,10 @@ class, for ``#0`` at depth 2 and for the manifest class; ``pc`` in three
 methods for two classes; ``surgery`` in four modes over three subsets for
 two classes, plus ``--class all`` in counting mode per subset;
 ``gorenstein`` on two subsets; ``count`` in three modes; ``coeff``.  Then
-usage errors on ``a2`` and an over-long threshold on ``a1``.  An exception
+usage errors on ``a2`` and two over-long thresholds on ``a1``: one that
+would overflow int64 and one that asks for about 10^15 points.  An exception
 that escapes ``cli.run`` is recorded as exit 1, the interpreter's code for
-it, with its type hashed after the output.  The 695 commands take about
+it, with its type hashed after the output.  The 696 commands take about
 five minutes on one core, most of it on ``ex_graph1``.
 """
 
@@ -75,7 +76,8 @@ def commands(corpus):
             ["sw"] + a2 + ["--class", "#99"],
             ["surgery"] + a2 + ["--class", "#0", "--subset", "v1", "--mode", "bogus"],
             ["info", "--graph", os.path.join(corpus, "missing.pg")],
-            ["count"] + a1 + ["--threshold", "100000000000000000000000"]]
+            ["count"] + a1 + ["--threshold", "100000000000000000000000"],
+            ["count"] + a1 + ["--threshold", "1000000000000000"]]
     return out
 
 

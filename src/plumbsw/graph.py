@@ -16,10 +16,14 @@ values handed back to the caller; no floats anywhere.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DuplicateVertex,
+    InfeasibleQuery,
     InternalDisagreement,
     IterationCapExceeded,
     MethodPreconditionFailed,
@@ -362,26 +366,30 @@ class PlumbingGraph:
         return _from_scaled(self, tuple(key))
 
     def classes(self):
-        """H enumerated by closure of {[E*_v]} under addition, sorted."""
+        """H generated by the classes [E*_v], by coset extension, sorted.
+
+        For each generator g, k is the smallest k >= 1 with k g in the group S
+        built so far (a divisor of the order of g), and S + {0, .., k - 1} g
+        is the next group, k times as large, built in one broadcast.
+        """
         if self._class_table is None:
             d = self.det
-            gens = [tuple(c % d for c in col) for col in self.dual_scaled]
-            zero = tuple([0] * self.n)
-            seen = {zero}
-            frontier = [zero]
-            while frontier:
-                cur = frontier.pop()
-                for gcol in gens:
-                    nxt = tuple((a + b) % d for a, b in zip(cur, gcol))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            reps = sorted(seen)
-            if len(reps) != d:
+            if d * d >= 2 ** 62:
+                # k g below reaches d^2 in int64, and d rows would not fit anyway
+                raise InfeasibleQuery("%d classes are too many to tabulate" % d)
+            group = np.zeros((1, self.n), dtype=np.int64)
+            for col in self.dual_scaled:
+                gen = np.array(col, dtype=np.int64) % d
+                order = math.lcm(*(d // math.gcd(c, d) for c in col))
+                k = next(k for k in range(1, order + 1)
+                         if order % k == 0 and (group == k * gen % d).all(axis=1).any())
+                group = ((np.arange(k)[:, None, None] * gen + group) % d).reshape(-1, self.n)
+            if len(group) != d:
                 # the all-class sweeps rely on this table covering H
                 raise InternalDisagreement(
-                    "closure found %d classes, det is %d" % (len(reps), d))
-            self._class_table = ClassTable(reps)
+                    "the dual-basis classes generate %d classes, det is %d" % (len(group), d))
+            group = group[np.lexsort(group.T[::-1])]
+            self._class_table = ClassTable(list(map(tuple, group.tolist())))
         return self._class_table
 
     # -- Laufer-style iterations ----------------------------------------------

@@ -7,8 +7,10 @@ functions are finite sums of coefficients over the exponents failing a
 coordinatewise threshold; those are enumerated by one numpy frontier over
 dual coordinates, streamed in bounded chunks, and tallied per (class,
 threshold) query into histograms indexed by the bitmask of coordinates below
-it.  All quantities are integers throughout (coordinates are pre-scaled by
-det(-I)), so nothing here is approximate.
+it.  When every query names one class, the frontier steps each dual
+coordinate only through the values that can still reach that class.  All
+quantities are integers throughout (coordinates are pre-scaled by det(-I)),
+so nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -99,20 +101,53 @@ def _point_bound(g, envelope):
     return total
 
 
-def _iter_batches(g: PlumbingGraph, envelope):
+def _class_step(g: PlumbingGraph, v, later, target):
+    """The step through which a_v can keep a point in class target, or None.
+
+    The vertices in later add to coordinate w only multiples of
+    b = gcd(d, (d E*_x)_w for x in later), so a point whose coordinate w is
+    c before v reaches the class only if c + a_v e = h_w (mod b), where
+    e = (d E*_v)_w.  With u = gcd(e, b) and m = b / u that needs u | t for
+    t = (h_w - c) mod b, and then a_v = r (mod m) for r = (t / u) inv mod m,
+    inv the inverse of e / u mod m.  Returns (w, h_w, b, u, m, inv) for the
+    coordinate w of largest m, or None (every a_v) when there is no target,
+    when m is 1, or when r could wrap int64 (t / u and inv are both below m).
+    """
+    if target is None:
+        return None
+    best = None
+    for w in range(g.n):
+        b = math.gcd(g.det, *(g.dual_scaled[x][w] for x in later))
+        u = math.gcd(g.dual_scaled[v][w], b)
+        if best is None or b // u > best[4]:
+            best = (w, int(target[w]) % b, b, u, b // u)
+    w, hw, b, u, m = best
+    if m == 1 or m * m >= 2 ** 62:
+        return None
+    return w, hw, b, u, m, pow(g.dual_scaled[v][w] // u, -1, m)
+
+
+def _iter_batches(g: PlumbingGraph, envelope, target=None):
     """Yield (coords, z) numpy batches over the support points l' with
     coord_w < envelope[w] for at least one tracked w.
 
     envelope: per-coordinate strict upper bounds in d-scaled units, or None
     for untracked coordinates.  coords batches are int64 arrays (k, n) of
     d-scaled coordinates, z the int64 coefficients, k at most CHUNK_ROWS.
+    target: a class key, or None.  With a target, the batches hold every
+    point of that class and may hold points of other classes, which the
+    caller filters out.
 
     One frontier of partial points walks the vertices with a free dual
     coordinate.  Each vertex expands every live row with the same
-    vectorized step, and the expansion is visited depth first in windows of
-    at most CHUNK_ROWS rows.  Each suspended vertex level keeps one window
-    alive, so memory is bounded by (number of levels) x CHUNK_ROWS rows
-    whatever the run lengths.
+    vectorized step a_v = r + j m, j = 0, 1, ...  Without a target, or where
+    _class_step finds no step, r = 0 and m = 1 and the no-op arithmetic is
+    skipped; otherwise m and the per-row residue r skip the values from
+    which the later vertices cannot reach the class, and a row with no such
+    value expands nothing.  The expansion is visited depth
+    first in windows of at most CHUNK_ROWS rows.  Each suspended vertex level
+    keeps one window alive, so memory is bounded by (number of levels) x
+    CHUNK_ROWS rows whatever the run lengths, with or without a target.
     """
     tracked = [w for w in range(g.n) if envelope[w] is not None and envelope[w] > 0]
     if not tracked:
@@ -125,21 +160,32 @@ def _iter_batches(g: PlumbingGraph, envelope):
     run = cols_t.min(axis=1)
     order = sorted((v for v in range(g.n) if g.delta[v] != 2),
                    key=lambda v: (g.delta[v] <= 1, -run[v]))
+    steps = {v: _class_step(g, v, order[i + 1:], target) for i, v in enumerate(order)}
 
     def windows(v, coords, z):
-        """The rows expanded by a_v = 0, 1, ... while some tracked coordinate
+        """The rows expanded by a_v = r + j m while some tracked coordinate
         stays below its bound, in windows of at most CHUNK_ROWS rows."""
         dv = g.delta[v]
         # ceil(remainder / step) per tracked coordinate, 0 where nothing remains
         caps = ((np.maximum(top - coords[:, tracked], 0) - 1) // cols_t[v] + 1).max(axis=1)
         if dv >= 3:
             np.minimum(caps, dv - 1, out=caps)              # exponents 0..delta-2
+        step = steps[v]
+        if step is not None:
+            # caps counts the values r, r + m, ... below the cap, none where
+            # no a_v reaches the class
+            w, hw, b, u, m, inv = step
+            t = (hw - coords[:, w]) % b
+            r = t // u * inv % m
+            caps = np.where(t % u == 0, (np.maximum(caps - r, 0) + m - 1) // m, 0)
         ends = np.cumsum(caps)
         total = int(ends[-1])
         for start in range(0, total, CHUNK_ROWS):
             idx = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
             rows = np.searchsorted(ends, idx, "right")
-            a = idx - ends[rows] + caps[rows]
+            a = idx - ends[rows] + caps[rows]               # j, with a_v = r + j m
+            if step is not None:
+                a = r[rows] + a * m
             yield coords[rows] + a[:, None] * cols[v], z[rows] * _vertex_factor(dv, a)
 
     # depth first: stack[i] walks the windows of vertex order[i]
@@ -233,6 +279,8 @@ def sweep_histogram(g: PlumbingGraph, queries):
         raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
     keys = np.array([k for k, _ in queries], dtype=np.int64)
     thr = np.array([t for _, t in queries], dtype=np.int64)
+    # queries of one class let the enumeration skip the other classes
+    target = tuple(keys[0].tolist()) if (keys == keys[0]).all() else None
     envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
     bound = _point_bound(g, envelope)
     if bound > POINT_LIMIT:
@@ -267,7 +315,7 @@ def sweep_histogram(g: PlumbingGraph, queries):
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = _bit_weights(n)
-    for coords, z in _iter_batches(g, envelope):
+    for coords, z in _iter_batches(g, envelope, target):
         lo, hi = runs_of(coords % d)
         # points of unqueried classes have empty runs and drop out first;
         # then each pass tallies every point at the next query of its run

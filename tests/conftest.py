@@ -139,6 +139,24 @@ class FractionLattice:
         return tuple(-sum(inv[w][i] * p[i] for i in range(comp.n)) for w in range(comp.n))
 
 
+def closure_classes(g: PlumbingGraph):
+    """H as the sorted closure of {[E*_v]} under addition, by breadth-first
+    search over d-scaled class keys; independent of the coset extension."""
+    d = g.det
+    gens = [tuple(c % d for c in col) for col in g.dual_scaled]
+    zero = tuple([0] * g.n)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for gcol in gens:
+            nxt = tuple((a + b) % d for a, b in zip(cur, gcol))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return sorted(seen)
+
+
 def brute_series(g: PlumbingGraph, depth: int):
     """Series coefficients by explicit product expansion.
 

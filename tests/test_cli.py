@@ -132,9 +132,9 @@ def test_surgery_counting_class_all_matches_single_classes(
     walks = []
     enumerate_batches = series._iter_batches
 
-    def counted(g, envelope):
+    def counted(g, envelope, *rest):
         walks.append(g.ids)
-        return enumerate_batches(g, envelope)
+        return enumerate_batches(g, envelope, *rest)
 
     monkeypatch.setattr(series, "_iter_batches", counted)
     argv = ["surgery", "--graph", path, "--subset", "leaves", "--mode", "counting"]

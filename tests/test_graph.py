@@ -11,6 +11,7 @@ from plumbsw import cubes
 from plumbsw import fixtures as fx
 from plumbsw.errors import (
     DuplicateVertex,
+    InfeasibleQuery,
     NotATree,
     NotInDualLattice,
     NotNegativeDefinite,
@@ -27,7 +28,7 @@ from plumbsw.graph import (
     validate,
 )
 from plumbsw.sw import quad_term, sw_table
-from conftest import FractionLattice, det_cofactor, leading_minors
+from conftest import FractionLattice, closure_classes, det_cofactor, leading_minors
 
 
 def test_validate_single_vertex(single3):
@@ -122,6 +123,27 @@ def test_class_table_contains_showcase_rep(showcase1):
     key = showcase1.class_key(showcase1.vector(fx.SHOWCASE_TWO_NODES_CLASS))
     assert key in tbl.index
     assert showcase1.rep_from_key(key).coords == fx.SHOWCASE_TWO_NODES_CLASS
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32))
+def test_class_table_matches_closure_search(seed):
+    g = fx.random_tree(random.Random(seed), n_range=(1, 8), max_det=2000)
+    reps = g.classes().reps_scaled
+    assert reps == closure_classes(g)
+    assert all(type(c) is int for c in reps[-1])
+
+
+def test_class_table_matches_closure_search_on_fixtures(e8, showcase1, gor_star):
+    for g in (e8, showcase1, gor_star, fx.ade_graph("D6"),
+              fx.string_graph([-2, -2, -2, -3, -4, -2, -2, -2, -2])):
+        assert g.classes().reps_scaled == closure_classes(g)
+
+
+def test_class_table_refuses_a_group_too_large_for_int64():
+    # det 16,831,644,835: the multiples k g of the extension would pass 2^62
+    with pytest.raises(InfeasibleQuery):
+        fx.string_graph([-5] * 15).classes()
 
 
 def test_class_reps_pairwise_noncongruent(showcase2):

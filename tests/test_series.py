@@ -2,7 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plumbsw import fixtures as fx
 from plumbsw import series
@@ -11,6 +13,7 @@ from plumbsw.graph import class_of, connected_closure, dual_restrict, minimal_s_
 from plumbsw.series import (
     SupportStore,
     UnivariateTable,
+    _class_step,
     _iter_batches,
     coefficient,
     counting,
@@ -299,3 +302,82 @@ def test_sweep_matches_single_histograms(build):
     assert len(rows) == 2 * len(keys)
     for (k, t), row in zip(both, rows):
         assert (row[1:] == single_histogram(g, k, t)[1:]).all()
+
+
+# fixed trees for the targeted walk: two nodes, one node with few classes,
+# and a string where no single coordinate names the class (d = 124)
+TARGET_TREES = {
+    "ex_graph1": fx.showcase_two_nodes,
+    "ex_graph2": fx.showcase_star,
+    "gor_star": fx.gorenstein_star,
+    "masks_124": lambda: fx.string_graph([-2, -2, -2, -3, -4, -2, -2, -2, -2]),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(source=st.one_of(st.sampled_from(sorted(TARGET_TREES)), st.integers(0, 2 ** 32)),
+       depth=st.integers(1, 2), pick=st.integers(0, 10 ** 6))
+@example(source="ex_graph1", depth=1, pick=0)
+@example(source="ex_graph1", depth=1, pick=101)
+@example(source="ex_graph2", depth=2, pick=5)
+@example(source="gor_star", depth=2, pick=0)
+@example(source="gor_star", depth=1, pick=9)
+@example(source="masks_124", depth=2, pick=37)
+def test_targeted_histogram_matches_class_sweep(source, depth, pick):
+    # a one-class histogram walks only the values that can land in its class;
+    # the all-class sweep walks everything and tells the classes apart itself
+    if isinstance(source, str):
+        g = TARGET_TREES[source]()
+    else:
+        g = fx.random_tree(random.Random(source), max_det=200, max_cost=200_000)
+    keys = g.classes().reps_scaled
+    key = keys[pick % len(keys)]
+    thr = g.deep_point(key, depth).scaled()
+    swept = sweep_histogram(g, [(k, thr) for k in keys])
+    single = single_histogram(g, key, thr)
+    assert (single[1:] == swept[keys.index(key)][1:]).all()
+
+
+def test_targeted_walk_skips_other_classes(monkeypatch):
+    # the trivial class of ex_graph1 (det 384) at depth 2: the targeted walk
+    # yields a small share of the rows the full walk yields, so a fallback to
+    # the full walk fails here
+    g = fx.showcase_two_nodes()
+    zero = (0,) * g.n
+    thr = g.deep_point(zero, 2).scaled()
+    walk = series._iter_batches
+    yielded = []
+
+    def counted(*args):
+        for coords, z in walk(*args):
+            yielded.append(len(coords))
+            yield coords, z
+
+    monkeypatch.setattr(series, "_iter_batches", counted)
+    hist = single_histogram(g, zero, thr)
+    full = sum(len(coords) for coords, _ in walk(g, list(thr)))
+    assert 0 < sum(yielded) * 50 < full
+    assert hist[1:].any()
+
+
+def test_class_step_is_untargeted_where_the_residue_could_wrap():
+    # r = (t / u) inv mod m needs m^2 < 2^62: at det 16,831,644,835 the last
+    # vertex's step is left untargeted; at det 2,640 (the same string with
+    # five vertices) it is not
+    big = fx.string_graph([-5] * 15)
+    assert big.det == 16_831_644_835
+    zero = (0,) * big.n
+    with pytest.raises(InfeasibleQuery):           # the public counts refuse it
+        single_histogram(big, zero, big.vector([1] * big.n).scaled())
+    assert [_class_step(big, v, [], zero) for v in (0, big.n - 1)] == [None, None]
+    small = fx.string_graph([-5] * 5)
+    w, hw, b, u, m, inv = _class_step(small, 0, [], (0,) * small.n)
+    assert b == small.det and m > 1 and m * m < 2 ** 62
+    assert _class_step(small, 0, [], None) is None
+    # the targeted walk of the big string is the full walk: 1,000 points
+    # below a bound on the first coordinate
+    envelope = [1000] + [None] * (big.n - 1)
+    full = sorted(map(tuple, np.concatenate([c for c, _ in _iter_batches(big, envelope)])))
+    targeted = [c for c, _ in _iter_batches(big, envelope, zero)]
+    assert len(full) == 1000
+    assert sorted(map(tuple, np.concatenate(targeted))) == full

@@ -142,6 +142,8 @@ def _cmd_count(args):
 
 def _cmd_sw(args):
     g = load_graph(args.graph)
+    if args.class_sel == "all":
+        sw.sw_table(g, args.depth)      # one enumeration per depth for every class
     out = []
     for ck in _parse_classes(g, args.class_sel, args.graph):
         rec = sw.sw_invariant(g, ck, depth=args.depth)
@@ -152,6 +154,8 @@ def _cmd_sw(args):
 def _cmd_pc(args):
     g = load_graph(args.graph)
     subset = _parse_subset(g, args.subset)
+    if args.class_sel == "all" and args.method == "closed_form":
+        sw.sw_table(g, subset=subset)   # the records of g and its pieces
     out = []
     for ck in _parse_classes(g, args.class_sel, args.graph):
         val = sw.pc_reduced(g, ck, subset, method=args.method)
@@ -172,6 +176,10 @@ def _cmd_surgery(args):
         # one histogram pass of the parent graph per depth for every class
         reps = list(sw.counting_surgery_sweep(g, subset, depths=depths).values())
     else:
+        if args.class_sel == "all" and (args.mode == "pc" or all(
+                is_rational(comp) for comp, _ in g.components_minus(subset))):
+            # records of g and its pieces, unless red1/red2 will refuse a piece
+            sw.sw_table(g, subset=subset)
         reps = []
         for ck in _parse_classes(g, args.class_sel, args.graph):
             if args.mode == "counting":

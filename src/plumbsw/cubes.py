@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import LatticeVector, PlumbingGraph
 from . import series
-from .sw import DEFAULT_DEPTH, _nonempty, _records, quad_term
+from .sw import _nonempty, quad_term, sw_invariant
 
 SUBSET_SWEEP_CAP = 12
 
@@ -90,12 +90,8 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
 
 
 def swbar(g: PlumbingGraph) -> Fraction:
-    """-sw(trivial class) - (K^2 + |V|)/8, measured by counting.
-
-    Only the trivial class is computed, never the all-classes table."""
-    zero = (0,) * g.n
-    rec = _records(g, [zero], DEFAULT_DEPTH)[zero]
-    return -rec.sw - quad_term(g, g.zero())
+    """-sw(trivial class) - (K^2 + |V|)/8, measured by counting."""
+    return -sw_invariant(g, (0,) * g.n).sw - quad_term(g, g.zero())
 
 
 def swbar_forest(forest) -> Fraction:

@@ -200,10 +200,6 @@ def _iter_batches(g: PlumbingGraph, envelope, target=None):
             stack.append(windows(order[len(stack)], *batch))
 
 
-def _bit_weights(n):
-    return (1 << np.arange(n, dtype=np.int64))
-
-
 class SupportStore:
     """Materialized support points below an envelope, bucketed by class.
 
@@ -251,13 +247,6 @@ class SupportStore:
         return int(z[mask].sum())
 
 
-def _tally(acc, idx, z):
-    """acc[idx] += z, exactly, grouping by the few distinct z values."""
-    for val in np.unique(z):
-        sel = idx[z == val]
-        acc += int(val) * np.bincount(sel, minlength=len(acc))
-
-
 def single_histogram(g: PlumbingGraph, class_key, thr):
     """Bitmask histogram for one class at one threshold (see sweep_histogram)."""
     return sweep_histogram(g, [(tuple(class_key), thr)])[0]
@@ -302,19 +291,23 @@ def sweep_histogram(g: PlumbingGraph, queries):
             lo = np.minimum(np.searchsorted(codes, enc), len(keys) - 1)
             return lo, np.where(codes[lo] == enc, ends[lo], lo)
     else:
-        # the radix code would overflow int64: one equality mask per class
+        # the radix code would overflow int64: one lookup per distinct class
         first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        run_of = {tuple(keys[a].tolist()): (a, b)
+                  for a, b in zip(first, np.r_[first[1:], len(keys)])}
 
         def runs_of(mods):
-            lo, hi = np.zeros((2, len(mods)), dtype=np.int64)
-            for a, b in zip(first, np.r_[first[1:], len(keys)]):
-                hit = (mods == keys[a]).all(axis=1)
-                lo[hit], hi[hit] = a, b
-            return lo, hi
+            perm = np.lexsort(mods.T)
+            rows = mods[perm]
+            new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+            runs = [run_of.get(tuple(k), (0, 0)) for k in rows[new].tolist()]
+            out = np.empty((len(mods), 2), dtype=np.int64)
+            out[perm] = np.array(runs, dtype=np.int64)[np.cumsum(new) - 1]
+            return out.T
 
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
-    weights = _bit_weights(n)
+    weights = 1 << np.arange(n, dtype=np.int64)
     for coords, z in _iter_batches(g, envelope, target):
         lo, hi = runs_of(coords % d)
         # points of unqueried classes have empty runs and drop out first;
@@ -323,7 +316,7 @@ def sweep_histogram(g: PlumbingGraph, queries):
         rows, hi, coords, z = lo[keep], hi[keep], coords[keep], z[keep]
         while len(rows):
             beta = ((coords < thr[rows]) * weights).sum(axis=1)
-            _tally(acc, rows * width + beta, z)
+            np.add.at(acc, rows * width + beta, z)
             rows += 1
             more = rows < hi
             rows, hi, coords, z = rows[more], hi[more], coords[more], z[more]

@@ -44,7 +44,6 @@ from .graph import (
 from . import series
 
 DEFAULT_DEPTH = 1
-SWEEP_TABLE_LIMIT = 700        # build the all-classes table when |H| is below this
 
 
 def quad_term(g: PlumbingGraph, x: LatticeVector) -> Fraction:
@@ -157,24 +156,26 @@ def _records(g, keys, depth):
     return {ck: SwRecord(g, ck, *recs[ck], depth) for ck in keys}
 
 
-def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH):
-    """SwRecord for every class, via one enumeration per depth."""
+def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH, subset=()):
+    """SwRecord for every class, via one enumeration per depth.
+
+    With a subset, every class of each piece of T - subset is counted the
+    same way first, at DEFAULT_DEPTH: the records component_term reads."""
+    if subset:
+        for comp, _ in g.components_minus(_nonempty(subset)):
+            sw_table(comp)
     return _records(g, g.classes().reps_scaled, depth)
 
 
 def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     """The invariant of the class of h, stable under depth + 1.
 
-    h may be a LatticeVector in the dual lattice or a class key.  A record
-    cached at this depth is returned; otherwise small class groups are
-    swept whole and larger ones count the one class alone.
+    h may be a LatticeVector in the dual lattice or a class key.  Only this
+    one class is counted, unless its record is cached at this depth; a
+    caller that reads every class asks sw_table first.
     """
     ck = h if isinstance(h, tuple) else g.class_key(h)
-    values = g._cache.get(("sw", depth), {}).get(ck)
-    if values is None:
-        keys = g.classes().reps_scaled if g.det <= SWEEP_TABLE_LIMIT else [ck]
-        return _records(g, keys, depth)[ck]
-    return SwRecord(g, ck, *values, depth)
+    return _records(g, [ck], depth)[ck]
 
 
 def component_term(comp: PlumbingGraph, y: LatticeVector) -> Fraction:

@@ -105,7 +105,7 @@ def test_criterion_5_node_reduction(showcase1, showcase2):
             assert g.nodes, "criterion applies to fixtures with nodes"
             everything = tuple(range(g.n))
             forest = g.components_minus(g.nodes)
-            for key in sw.sw_table(g):
+            for key in sw.sw_table(g, subset=g.nodes):
                 assert (sw.pc_reduced(g, key, g.nodes, "closed_form")
                         == sw.pc_reduced(g, key, everything, "closed_form"))
                 r = g.rep_from_key(key)
@@ -120,13 +120,13 @@ def test_criterion_6_univariate_fit(showcase1, showcase2):
     with budget("criterion 6: one-variable fit agrees with closed form", 120):
         for g in (showcase2, showcase1):
             for v in range(g.n):
-                for key in g.classes().reps_scaled:
+                for key in sw.sw_table(g, subset=(v,)):
                     assert (sw.pc_reduced(g, key, (v,), "closed_form")
                             == sw.pc_reduced(g, key, (v,), "univariate_fit"))
         for g in fx.random_trees(seed=606, count=10, n_range=(3, 6),
                                  max_det=150, max_cost=5_000_000):
             for v in range(g.n):
-                for key in g.classes().reps_scaled:
+                for key in sw.sw_table(g, subset=(v,)):
                     assert (sw.pc_reduced(g, key, (v,), "closed_form")
                             == sw.pc_reduced(g, key, (v,), "univariate_fit"))
 
@@ -207,6 +207,6 @@ def test_criterion_9_rational_reductions(showcase1, showcase2):
         for g, subset in cases:
             for comp, _ in g.components_minus(subset):
                 assert is_rational(comp)
-            for key in g.classes().reps_scaled:
+            for key in sw.sw_table(g, subset=subset):
                 sw.reduction_rational(g, key, subset, "red1")
                 sw.reduction_rational(g, key, subset, "red2")

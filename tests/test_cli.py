@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from plumbsw import cli
+from plumbsw import cli, series, sw
 from plumbsw.graph import emit_graph_text, load_graph
 
 
@@ -12,6 +12,20 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert cli.run(["fixtures", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(vertex ids, targeted) of every enumeration walk, in call order."""
+    seen = []
+    enumerate_batches = series._iter_batches
+
+    def counted(g, envelope, target=None):
+        seen.append((g.ids, target is not None))
+        return enumerate_batches(g, envelope, target)
+
+    monkeypatch.setattr(series, "_iter_batches", counted)
+    return seen
 
 
 def run_json(argv, capsys):
@@ -124,28 +138,59 @@ def test_surgery_auto_class(corpus_dir, capsys):
                                            ("gor_star", (0, 5, 10, 15))],
                          ids=["ex_graph2", "gor_star"])
 def test_surgery_counting_class_all_matches_single_classes(
-        corpus_dir, capsys, monkeypatch, name, classes):
-    from plumbsw import series
-
+        corpus_dir, capsys, walks, name, classes):
     path = str(corpus_dir / (name + ".pg"))
     ids = load_graph(path).ids
-    walks = []
-    enumerate_batches = series._iter_batches
-
-    def counted(g, envelope, *rest):
-        walks.append(g.ids)
-        return enumerate_batches(g, envelope, *rest)
-
-    monkeypatch.setattr(series, "_iter_batches", counted)
     argv = ["surgery", "--graph", path, "--subset", "leaves", "--mode", "counting"]
     code, rep = run_json(argv + ["--class", "all"], capsys)
     assert code == 0 and rep["verified"] is True
     assert len(rep["reports"]) == 16
-    assert walks.count(ids) == 2            # the parent graph once per depth
+    # the parent graph once per depth, untargeted, and never by one class
+    assert [w for w in walks if w[0] == ids] == [(ids, False)] * 2
     for k in classes:
         code, one = run_json(argv + ["--class", "#%d" % k], capsys)
         assert code == 0
         assert one["reports"] == [rep["reports"][k]]
+
+
+def test_sw_invariant_counts_its_one_class(corpus_dir, walks):
+    g = load_graph(corpus_dir / "ex_graph1.pg")
+    sw.sw_invariant(g, (0,) * g.n)
+    assert walks == [(g.ids, True)] * 2     # one targeted walk per depth
+
+
+def test_sw_class_all_asks_the_table_once(corpus_dir, capsys, walks):
+    path = str(corpus_dir / "ex_graph2.pg")
+    code, rep = run_json(["sw", "--graph", path, "--class", "all"], capsys)
+    assert code == 0 and len(rep["invariants"]) == 16
+    assert walks == [(load_graph(path).ids, False)] * 2
+
+
+def test_surgery_pc_class_all_asks_every_piece_once(corpus_dir, capsys, walks):
+    # deleting the center leaves four one-vertex pieces: each is counted once
+    # per depth for all its classes, and every class then reads the cache
+    path = str(corpus_dir / "ex_graph2.pg")
+    g = load_graph(path)
+    code, rep = run_json(["surgery", "--graph", path, "--class", "all", "--subset", "c",
+                          "--mode", "pc"], capsys)
+    assert code == 0 and rep["verified"] is True and len(rep["reports"]) == 16
+    pieces = [comp.ids for comp, _ in g.components_minus([g.index["c"]])]
+    assert len(pieces) == 4
+    for ids in pieces:
+        assert walks.count((ids, False)) == 2
+        assert (ids, True) not in walks
+
+
+@pytest.mark.parametrize("mode", ["red1", "red2"])
+def test_reduction_class_all_refuses_before_counting(tmp_path, capsys, walks, mode):
+    # deleting u leaves the star of Sigma(2,3,7), which is not rational
+    p = tmp_path / "nonrational.pg"
+    p.write_text("v c -1\nv a -2\nv b -3\nv e -7\nv w -2\nv u -2\n"
+                 "e c a\ne c b\ne c e\ne e w\ne w u\n")
+    code, rep = run_json(["surgery", "--graph", str(p), "--class", "all",
+                          "--subset", "u", "--mode", mode], capsys)
+    assert code == 2 and rep["error"] == "ComponentNotRational"
+    assert walks == []
 
 
 def test_pc_verb(corpus_dir, capsys):

@@ -274,8 +274,8 @@ def test_enumeration_chunks_are_bounded():
 def test_sweep_matches_single_histograms(build):
     # the class sweep, over all classes or some, agrees with one-class
     # histograms on both of its ways of telling classes apart: a radix code
-    # of the class, or one equality mask per class where the code would
-    # overflow int64 (d^9 >= 2^62 for d = 163 and 124).  With d = 124 no
+    # of the class, or a lookup of each distinct class of a batch where the
+    # code would overflow int64 (d^9 >= 2^62 for d = 163 and 124).  With d = 124 no
     # single coordinate names the class, as it does for the prime 163.
     # One more call puts two queries on every class, at its depth-1 and
     # depth-2 thresholds, so each class owns a run of two rows.

@@ -61,30 +61,32 @@ def test_sw_depth_stability_external(showcase2):
 
 def test_sw_invariant_caches_records_per_depth(monkeypatch):
     zero = (0,) * 4
-    # table route: a later request at another depth is computed at that depth
-    g = fx.ade_graph("D4")
-    first = sw_invariant(g, zero, depth=1)
-    deeper = sw_invariant(g, zero, depth=3)
-    assert (first.depth_used, deeper.depth_used) == (1, 3)
-    assert deeper.sw == first.sw
-    # the depth-1 record is read back from the cache, not counted again
-    assert zero in g._cache[("sw", 1)]
 
     def recount(*args):
         raise AssertionError("the cached record was counted again")
 
-    with monkeypatch.context() as m:
-        m.setattr(sw_module, "_deep_counts", recount)
-        m.setattr(series, "sweep_histogram", recount)
-        m.setattr(series, "hist_not_ge", recount)
-        assert sw_invariant(g, zero, depth=1) == first
-    # single-class route: swbar records the trivial class at the default depth
-    # only, whether the later request goes through the table or alone
-    for limit in (sw_module.SWEEP_TABLE_LIMIT, 0):
-        monkeypatch.setattr(sw_module, "SWEEP_TABLE_LIMIT", limit)
+    # by the table or alone, a later request at another depth is computed at
+    # that depth, and the depth-1 record is read back, not counted again
+    for count in (lambda g, depth: sw_table(g, depth)[zero],
+                  lambda g, depth: sw_invariant(g, zero, depth=depth)):
+        g = fx.ade_graph("D4")
+        first = count(g, 1)
+        deeper = count(g, 3)
+        assert (first.depth_used, deeper.depth_used) == (1, 3)
+        assert deeper.sw == first.sw
+        assert zero in g._cache[("sw", 1)]
+        with monkeypatch.context() as m:
+            m.setattr(sw_module, "_deep_counts", recount)
+            m.setattr(series, "sweep_histogram", recount)
+            m.setattr(series, "hist_not_ge", recount)
+            assert sw_invariant(g, zero, depth=1) == first
+    # swbar records the trivial class at the default depth only, whether the
+    # later request goes through the table or alone
+    for later in (lambda g: sw_table(g, 3)[zero], lambda g: sw_invariant(g, zero, depth=3)):
         g = fx.ade_graph("D4")
         bar = swbar(g)
-        rec = sw_invariant(g, zero, depth=3)
+        assert list(g._cache[("sw", 1)]) == [zero]
+        rec = later(g)
         assert rec.depth_used == 3
         assert -rec.sw - quad_term(g, g.zero()) == bar
 
@@ -94,12 +96,10 @@ def test_records_check_the_deep_point_region(monkeypatch):
     # representative, outside -K + int(cone): the all-classes table and the
     # one-class route both refuse to read an invariant there
     monkeypatch.setattr(PlumbingGraph, "deep_demands", lambda self, depth: [-10 ** 6] * self.n)
-    for limit in (sw_module.SWEEP_TABLE_LIMIT, 0):
-        monkeypatch.setattr(sw_module, "SWEEP_TABLE_LIMIT", limit)
-        with pytest.raises(BoundViolation):
-            sw_table(fx.ade_graph("D4"))
-        with pytest.raises(BoundViolation):
-            sw_invariant(fx.ade_graph("D4"), (0,) * 4)
+    with pytest.raises(BoundViolation):
+        sw_table(fx.ade_graph("D4"))
+    with pytest.raises(BoundViolation):
+        sw_invariant(fx.ade_graph("D4"), (0,) * 4)
 
 
 def test_component_counts_refuse_an_overflowing_restriction(showcase2):

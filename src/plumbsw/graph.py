@@ -273,7 +273,6 @@ class PlumbingGraph:
         self._k = kc
         self.numerically_gorenstein = not any(c % d for c in kc)
         self.nodes = tuple(v for v in range(self.n) if self.delta[v] >= 3)
-        self.ends = tuple(v for v in range(self.n) if self.delta[v] <= 1)
         self._class_table = None
         self._cache = {}
 

@@ -78,33 +78,21 @@ class SwRecord:
         }
 
 
-def _deep_scaled(g, depth):
-    """{class key: d-scaled deep point} over every class, cached as tuples."""
-    key = ("deep_scaled", depth)
-    if key not in g._cache:
-        tbl = g.classes()
-        g._cache[key] = {k: g.deep_point(k, depth).scaled() for k in tbl.reps_scaled}
-    return g._cache[key]
-
-
-def sweep_hist(g, depth):
-    """Cached all-classes histograms at the class-wise deep thresholds."""
-    key = ("sweep_hist", depth)
-    if key not in g._cache:
-        deeps = _deep_scaled(g, depth)
-        rows = series.sweep_histogram(g, list(deeps.items()))
-        g._cache[key] = dict(zip(deeps, rows))
-    return g._cache[key]
-
-
-def _deep_counts(g, keys, depth):
-    """Deep points of the classes at depth and their histograms, from the
-    cached all-classes pass when the keys are every class."""
-    if len(keys) == g.det:
-        deeps, hists = _deep_scaled(g, depth), sweep_hist(g, depth)
-        return [_from_scaled(g, deeps[ck]) for ck in keys], [hists[ck] for ck in keys]
-    xs = [g.deep_point(ck, depth) for ck in keys]
-    return xs, series.sweep_histogram(g, [(ck, x.scaled()) for ck, x in zip(keys, xs)])
+def sweep_hist(g, keys, depth):
+    """Deep points of the classes at depth and their histogram rows, in key
+    order.  Both live in one dict per depth, {class key: (d-scaled deep
+    point, row)}, and the classes missing there are counted with one
+    histogram pass.  A one-class pass and an every-class pass give rows that
+    differ only at beta = 0, which no counting query reads, so a row cached
+    by either serves every later caller."""
+    cache = g._cache.setdefault(("hist", depth), {})
+    todo = [ck for ck in keys if ck not in cache]
+    if todo:
+        deeps = [g.deep_point(ck, depth).scaled() for ck in todo]
+        rows = series.sweep_histogram(g, list(zip(todo, deeps)))
+        cache.update(zip(todo, zip(deeps, rows)))
+    return ([_from_scaled(g, cache[ck][0]) for ck in keys],
+            [cache[ck][1] for ck in keys])
 
 
 def _check_depth(depth):
@@ -134,7 +122,8 @@ def _records(g, keys, depth):
     """{class_key: SwRecord} for the classes at depth, each checked stable at
     depth + 1.  The record values live in one dict per depth, without the
     graph, so the cache holds no reference back to g; the classes missing
-    there are counted with one histogram pass per depth."""
+    there are counted from sweep_hist, which keeps their deep points and
+    histograms for the counting identity to read as well."""
     _check_depth(depth)
     recs = g._cache.setdefault(("sw", depth), {})
     todo = [ck for ck in keys if ck not in recs]
@@ -142,7 +131,7 @@ def _records(g, keys, depth):
         everything = tuple(range(g.n))
         sides = []
         for c in (depth, depth + 1):
-            xs, hists = _deep_counts(g, todo, c)
+            xs, hists = sweep_hist(g, todo, c)
             for x in xs:
                 _check_sum_region(g, x)
             sides.append([-series.hist_not_ge(hist, everything) - quad_term(g, x)
@@ -157,7 +146,8 @@ def _records(g, keys, depth):
 
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH, subset=()):
-    """SwRecord for every class, via one enumeration per depth.
+    """SwRecord for every class, via one enumeration per depth for the
+    classes sweep_hist does not hold yet.
 
     With a subset, every class of each piece of T - subset is counted the
     same way first, at DEFAULT_DEPTH: the records component_term reads."""
@@ -391,18 +381,21 @@ def _counting_surgery(g, keys, subset, depths):
 
     Full count at a deep point of the class = reduced count there + the
     full counts of every component of T - subset at the restricted point.
-    Full and reduced counts of all classes come from one histogram pass
-    per depth, the cached all-classes one when every class is asked.
+    Full and reduced counts come from sweep_hist, so classes whose records
+    or identities were counted before are read back, and the rest take one
+    histogram pass per depth.
     Returns {class_key: SurgeryReport}, raising IdentityViolation on the
     first failing class.
     """
-    _check_depth(min(depths, default=0))
+    if not depths:
+        raise MethodPreconditionFailed("no depth given: the identity would be checked nowhere")
+    _check_depth(min(depths))
     subset = _nonempty(subset)
     forest = g.components_minus(subset)
     everything = tuple(range(g.n))
     items = {ck: [] for ck in keys}
     for depth in depths:
-        xs, hists = _deep_counts(g, keys, depth)
+        xs, hists = sweep_hist(g, keys, depth)
         comps = _component_counts(forest, xs)
         for ck, hist, comp_vals in zip(keys, hists, comps):
             items[ck].append({
@@ -414,7 +407,7 @@ def _counting_surgery(g, keys, subset, depths):
     reports = {}
     for ck, its in items.items():
         sides = [(it["full"], it["reduced"] + sum(it["components"])) for it in its]
-        lhs, rhs = sides[-1] if sides else (0, 0)
+        lhs, rhs = sides[-1]
         reports[ck] = _raise_if_violated(SurgeryReport(
             "counting", g, ck, subset, Fraction(lhs), Fraction(rhs), its,
             all(a == b for a, b in sides), depths=tuple(depths)))

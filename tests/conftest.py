@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from plumbsw import fixtures as fx
+from plumbsw import series
 from plumbsw.graph import LatticeVector, PlumbingGraph, validate
 
 
@@ -43,6 +44,20 @@ def showcase2():
 @pytest.fixture(scope="session")
 def gor_star():
     return fx.gorenstein_star()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(vertex ids, targeted) of every enumeration walk, in call order."""
+    seen = []
+    enumerate_batches = series._iter_batches
+
+    def counted(g, envelope, target=None):
+        seen.append((g.ids, target is not None))
+        return enumerate_batches(g, envelope, target)
+
+    monkeypatch.setattr(series, "_iter_batches", counted)
+    return seen
 
 
 # -- oracles --------------------------------------------------------------------

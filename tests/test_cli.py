@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from plumbsw import cli, series, sw
+from plumbsw import cli, sw
 from plumbsw.graph import emit_graph_text, load_graph
 
 
@@ -12,20 +12,6 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert cli.run(["fixtures", "--out", str(out)]) == 0
     return out
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """(vertex ids, targeted) of every enumeration walk, in call order."""
-    seen = []
-    enumerate_batches = series._iter_batches
-
-    def counted(g, envelope, target=None):
-        seen.append((g.ids, target is not None))
-        return enumerate_batches(g, envelope, target)
-
-    monkeypatch.setattr(series, "_iter_batches", counted)
-    return seen
 
 
 def run_json(argv, capsys):
@@ -179,6 +165,18 @@ def test_surgery_pc_class_all_asks_every_piece_once(corpus_dir, capsys, walks):
     for ids in pieces:
         assert walks.count((ids, False)) == 2
         assert (ids, True) not in walks
+
+
+def test_surgery_pc_class_all_on_many_vertices_reads_the_table(corpus_dir, capsys, walks):
+    # ex_graph2 is not Gorenstein, so with four leaves deleted every class
+    # checks its counting identity, which reads the table's histograms
+    path = str(corpus_dir / "ex_graph2.pg")
+    ids = load_graph(path).ids
+    code, rep = run_json(["surgery", "--graph", path, "--class", "all", "--subset",
+                          "leaves", "--mode", "pc"], capsys)
+    assert code == 0 and rep["verified"] is True and len(rep["reports"]) == 16
+    assert {r["method"] for r in rep["reports"]} == {"prop1_conditional"}
+    assert [w for w in walks if w[0] == ids] == [(ids, False)] * 2
 
 
 @pytest.mark.parametrize("mode", ["red1", "red2"])

@@ -76,7 +76,7 @@ def test_sw_invariant_caches_records_per_depth(monkeypatch):
         assert deeper.sw == first.sw
         assert zero in g._cache[("sw", 1)]
         with monkeypatch.context() as m:
-            m.setattr(sw_module, "_deep_counts", recount)
+            m.setattr(sw_module, "sweep_hist", recount)
             m.setattr(series, "sweep_histogram", recount)
             m.setattr(series, "hist_not_ge", recount)
             assert sw_invariant(g, zero, depth=1) == first
@@ -179,6 +179,36 @@ def test_counting_surgery_sweep_matches_single(showcase2):
         rep = verify_counting_surgery(showcase2, key, (1, 3))
         assert out[key].as_dict() == rep.as_dict()
         assert [it["depth"] for it in out[key].items] == [1, 2]
+
+
+# a table or a one-class record leaves the deep points and histograms its
+# counting identity reads, so the identity walks only the pieces of T - leaves
+@pytest.mark.parametrize("make", [fx.showcase_star, fx.gorenstein_star],
+                         ids=["ex_graph2", "gor_star"])
+def test_counting_surgery_reads_the_cached_histograms(walks, make):
+    g = make()
+    ck = g.classes().reps_scaled[5]
+    leaves = tuple(v for v in range(g.n) if g.delta[v] <= 1)
+    fresh = verify_counting_surgery(g, ck, leaves).as_dict()
+    for warm in (sw_table, lambda g: sw_invariant(g, ck)):
+        g = make()
+        warm(g)
+        walks.clear()
+        assert verify_counting_surgery(g, ck, leaves).as_dict() == fresh
+        assert [w for w in walks if w[0] == g.ids] == []
+
+
+def test_counting_surgery_refuses_no_depths(monkeypatch):
+    # with no depth nothing would be compared, and an empty check must not pass
+    def recount(*args):
+        raise AssertionError("counted before the depths were checked")
+
+    g = fx.ade_graph("D5")
+    monkeypatch.setattr(series, "sweep_histogram", recount)
+    with pytest.raises(MethodPreconditionFailed):
+        verify_counting_surgery(g, (0,) * g.n, (0,), depths=())
+    with pytest.raises(MethodPreconditionFailed):
+        counting_surgery_sweep(g, (0,), depths=())
 
 
 def test_counting_surgery_random_trees():

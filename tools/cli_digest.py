@@ -14,14 +14,14 @@ The command set, per fixture: ``validate``, ``info``, ``sw`` for every
 class, for ``#0`` at depth 2 and for the manifest class; ``pc`` in three
 methods for two classes, plus ``--class all`` in closed form on the nodes;
 ``surgery`` in four modes over three subsets for two classes, plus
-``--class all`` in counting mode per subset and in the ``pc``, ``red1`` and
-``red2`` modes on the nodes; ``gorenstein`` on two subsets; ``count`` in
-three modes; ``coeff``.  Then usage errors on ``a2`` and two over-long
-thresholds on ``a1``: one that would overflow int64 and one that asks for
-about 10^15 points.  An exception that escapes ``cli.run`` is recorded as
-exit 1, the interpreter's code for it, with its type hashed after the
-output.  The 760 commands take about 80 s on one core, most of it on
-``ex_graph1``.
+``--class all`` in counting mode per subset, in the ``pc``, ``red1`` and
+``red2`` modes on the nodes and in the ``pc`` mode on the leaves;
+``gorenstein`` on two subsets; ``count`` in three modes; ``coeff``.  Then
+usage errors on ``a2`` and two over-long thresholds on ``a1``: one that
+would overflow int64 and one that asks for about 10^15 points.  An
+exception that escapes ``cli.run`` is recorded as exit 1, the
+interpreter's code for it, with its type hashed after the output.  The 776
+commands take about 65 s on one core, most of it on ``ex_graph1``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def commands(corpus):
         for mode in ("pc", "red1", "red2"):
             out.append(["surgery"] + g + ["--class", "all", "--subset", "nodes",
                                           "--mode", mode])
+        # every class on the leaves: the multi-vertex pc route on every fixture
+        out.append(["surgery"] + g + ["--class", "all", "--subset", "leaves",
+                                      "--mode", "pc"])
         for subset in subsets:
             for mode in ("counting", "pc", "red1", "red2"):
                 for cls in classes:

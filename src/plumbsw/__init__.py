@@ -53,7 +53,6 @@ from .sw import (
     component_term,
     counting_surgery_sweep,
     pc_reduced,
-    quasipoly_reduced,
     reduction_rational,
     sw_invariant,
     sw_table,

@@ -36,7 +36,10 @@ def _parse_vector(g, text) -> LatticeVector:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != g.n:
         raise PlumbingError("expected %d coordinates, got %d" % (g.n, len(parts)))
-    return g.vector([Fraction(p) for p in parts])
+    try:
+        return g.vector([Fraction(p) for p in parts])
+    except ZeroDivisionError:
+        raise PlumbingError("a coordinate of %r has a zero denominator" % text) from None
 
 
 def _parse_subset(g, text):
@@ -55,7 +58,7 @@ def _parse_subset(g, text):
         if tok not in g.index:
             raise PlumbingError("unknown vertex id %r" % tok)
         out.append(g.index[tok])
-    return tuple(sorted(set(out)))
+    return g.vertices(out)
 
 
 def _parse_classes(g, sel, graph_path):
@@ -72,8 +75,7 @@ def _parse_classes(g, sel, graph_path):
         base = os.path.basename(graph_path)
         for entry in manifest.get("fixtures", []):
             if entry.get("file") == base and "showcase_class" in entry:
-                vec = g.vector([Fraction(c) for c in entry["showcase_class"]])
-                return [g.class_key(vec)]
+                return [g.class_key(g.vector([Fraction(c) for c in entry["showcase_class"]]))]
         raise PlumbingError("manifest has no recorded class for %s" % base)
     if sel.startswith("#"):
         tbl = g.classes()
@@ -81,8 +83,7 @@ def _parse_classes(g, sel, graph_path):
         if not 0 <= idx < tbl.order:
             raise PlumbingError("class index out of range (order %d)" % tbl.order)
         return [tbl.reps_scaled[idx]]
-    vec = _parse_vector(g, sel)
-    return [g.class_key(vec)]
+    return [g.class_key(_parse_vector(g, sel))]
 
 
 def _emit(report, output):
@@ -220,7 +221,7 @@ def build_parser():
     p.add_argument("--output", help="also write the JSON report to this path")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         return sp
@@ -291,11 +292,7 @@ def run(argv) -> int:
                "report": exc.report.as_dict() if exc.report else None},
               args.output)
         return 1
-    except PlumbingError as exc:
-        _emit({"schema": SCHEMA, "verb": args.verb,
-               "error": type(exc).__name__, "detail": str(exc)}, args.output)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PlumbingError, ValueError, OSError) as exc:
         _emit({"schema": SCHEMA, "verb": args.verb,
                "error": type(exc).__name__, "detail": str(exc)}, args.output)
         return 2

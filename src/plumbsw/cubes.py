@@ -40,10 +40,12 @@ from .sw import _nonempty, quad_term, sw_invariant
 SUBSET_SWEEP_CAP = 12
 
 
-def _ints(x: LatticeVector):
-    """Integer E-coordinates of an integral vector."""
-    d = x.graph.det
-    return [c // d for c in x.scaled()]
+def _ints(g: PlumbingGraph, x: LatticeVector):
+    """Integer E-coordinates of x, an integral vector of g."""
+    s = g.scaled_of(x)
+    if any(c % g.det for c in s):
+        raise MethodPreconditionFailed("cube sums need an integral exponent")
+    return [c // g.det for c in s]
 
 
 def _subset_bits(k):
@@ -74,10 +76,8 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
     w(l, J) for all J at once: chi on the 2^n corners of the unit cube at
     l, then a subset-max transform.
     """
-    if not l.is_integral():
-        raise MethodPreconditionFailed("cube sums need an integral exponent")
+    x = np.array(_ints(g, l), dtype=np.int64)
     corners, imat, kp, own, signs = _corner_data(g)
-    x = np.array(_ints(l), dtype=np.int64)
     ix = imat @ x
     # 2 chi(x + c) = 2 chi(x) + 2 chi(c) - 2 (x, c)
     two_chi = own - 2 * (corners @ ix) - (x @ ix + x @ kp)
@@ -203,7 +203,7 @@ def swbar_via_cubes(g: PlumbingGraph, b: LatticeVector) -> Fraction:
         raise NotGorenstein("anticanonical cycle is not integral")
     if not (b.is_integral() and b >= g.ZK):
         raise NotGorenstein("bound must be an integral cycle above the anticanonical one")
-    return Fraction(_cube_sums(g, _ints(b), [([0] * g.n, ())])[0])
+    return Fraction(_cube_sums(g, _ints(g, b), [([0] * g.n, ())])[0])
 
 
 def _swbar_cube_faces(g: PlumbingGraph):
@@ -216,7 +216,7 @@ def _swbar_cube_faces(g: PlumbingGraph):
     """
     key = "swbar_cube_faces"
     if key not in g._cache:
-        zk = _ints(g.ZK)
+        zk = _ints(g, g.ZK)
         faces = _cube_sums(g, zk, [
             ([0 if mask >> v & 1 else zk[v] for v in range(g.n)], ())
             for mask in range(1 << g.n)])
@@ -236,8 +236,8 @@ def gorenstein_pc(g: PlumbingGraph, subset) -> Fraction:
     """
     if not g.numerically_gorenstein:
         raise NotGorenstein("anticanonical cycle is not integral")
-    subset = _nonempty(subset)
-    zk = _ints(g.ZK)
+    subset = _nonempty(g, subset)
+    zk = _ints(g, g.ZK)
 
     via_series = series.counting(g, "reduced", g.ZK, subset)
 

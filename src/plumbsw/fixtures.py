@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -85,7 +86,14 @@ def all_strings(max_len=4, euler_range=(-5, -2)):
     return out
 
 
-def enumeration_cost(g: PlumbingGraph, depth: int = 3) -> int:
+COST_DEPTH = 3      # the depth of the deep point enumeration_cost measures
+
+# the draw of the corpus's random trees, which its manifest records
+CORPUS_DRAW = {"seed": 2024, "count": 3, "n_range": (3, 7), "euler_range": (-5, -2),
+               "max_det": 500, "max_cost": 20_000_000}
+
+
+def enumeration_cost(g: PlumbingGraph) -> int:
     """Upper estimate of the lattice-point count a deep counting query visits.
 
     Box product of the free-vertex exponent bounds, per coordinate slab.
@@ -94,8 +102,7 @@ def enumeration_cost(g: PlumbingGraph, depth: int = 3) -> int:
     query grows with the inverse dual-basis entries, which explodes on
     high-determinant trees.
     """
-    x = g.deep_point(tuple([0] * g.n), depth)
-    xs = x.scaled()
+    xs = g.deep_point(tuple([0] * g.n), COST_DEPTH).scaled()
     free = [v for v in range(g.n) if g.delta[v] <= 1]
     total = 0
     for w in range(g.n):
@@ -145,22 +152,15 @@ def corpus():
     ]
     for name in ADE_NAMES:
         entries.append((name.lower(), ade_graph(name), None))
-    for i, g in enumerate(random_trees(seed=2024, count=3,
-                                       max_det=500, max_cost=20_000_000)):
+    for i, g in enumerate(random_trees(**CORPUS_DRAW)):
         entries.append(("random_%d" % i, g, None))
     return entries
 
 
 def write_corpus(outdir) -> dict:
     """Write every fixture as a graph file plus a manifest; deterministic."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
-    manifest = {"schema": 1,
-                "generator": {"seed": 2024, "count": 3, "n_range": [3, 7],
-                              "euler_range": [-5, -2], "max_det": 500,
-                              "max_cost": 20_000_000},
-                "fixtures": []}
+    manifest = {"schema": 1, "generator": CORPUS_DRAW, "fixtures": []}
     for name, g, cls in corpus():
         fname = name + ".pg"
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -130,17 +131,13 @@ class LatticeVector:
     def __hash__(self):
         return hash((id(self.graph), self._s))
 
-    def _same_graph(self, other):
-        if other.graph is not self.graph:
-            raise MethodPreconditionFailed("vectors belong to different graphs")
-
     def __add__(self, other):
-        self._same_graph(other)
-        return _from_scaled(self.graph, tuple(a + b for a, b in zip(self._s, other._s)))
+        s = self.graph.scaled_of(other)
+        return _from_scaled(self.graph, tuple(a + b for a, b in zip(self._s, s)))
 
     def __sub__(self, other):
-        self._same_graph(other)
-        return _from_scaled(self.graph, tuple(a - b for a, b in zip(self._s, other._s)))
+        s = self.graph.scaled_of(other)
+        return _from_scaled(self.graph, tuple(a - b for a, b in zip(self._s, s)))
 
     def __neg__(self):
         return _from_scaled(self.graph, tuple(-a for a in self._s))
@@ -149,21 +146,18 @@ class LatticeVector:
         return _from_scaled(self.graph, _whole([k * a for a in self._s], self.graph.det))
 
     def __ge__(self, other):
-        self._same_graph(other)
-        return all(a >= b for a, b in zip(self._s, other._s))
+        return all(a >= b for a, b in zip(self._s, self.graph.scaled_of(other)))
 
     def __le__(self, other):
-        self._same_graph(other)
-        return all(a <= b for a, b in zip(self._s, other._s))
+        return all(a <= b for a, b in zip(self._s, self.graph.scaled_of(other)))
 
     def is_zero(self):
         return not any(self._s)
 
     def pair(self, other):
         """Intersection pairing (self, other)."""
-        self._same_graph(other)
-        d = self.graph.det
-        return Fraction(self.graph.scaled_pair(self._s, other._s), d * d)
+        g = self.graph
+        return Fraction(g.scaled_pair(self._s, g.scaled_of(other)), g.det * g.det)
 
     def scaled_pairings(self):
         """d (self, E_v) for every vertex v, as ints."""
@@ -340,7 +334,7 @@ class PlumbingGraph:
     def chi(self, x):
         """Riemann-Roch expression chi(x) = -(x, x + K)/2."""
         d = self.det
-        s = x.scaled()
+        s = self.scaled_of(x)
         xk = sum(c * k for c, k in zip(s, self.kpair))          # d (x, K)
         return Fraction(-(self.scaled_pair(s, s) + d * xk), 2 * d * d)
 
@@ -353,13 +347,39 @@ class PlumbingGraph:
                     s[w] += av * col[w]
         return _from_scaled(self, _whole(s, self.det))
 
-    # -- classes --------------------------------------------------------------
+    # -- arguments and classes: the one rule for each kind of argument ------
 
-    def class_key(self, x):
-        """Scaled coordinates of x mod L: the hashable name of [x] in H."""
-        if not x.in_dual_lattice():
+    def scaled_of(self, x):
+        """d-scaled coordinates of x, which must be a vector of this graph."""
+        if getattr(x, "graph", None) is not self:
+            raise MethodPreconditionFailed("vectors belong to different graphs")
+        return x._s
+
+    def class_key(self, h):
+        """The hashable name of the class of h in H: its d-scaled coordinates
+        mod d.  h is a vector of this graph or a tuple of n integers in
+        d-scaled coordinates (a class key is one); either must lie in L'."""
+        if not isinstance(h, tuple):
+            s = self.scaled_of(h)
+        else:
+            try:
+                s = tuple(map(operator.index, h))
+            except TypeError:
+                s = ()
+            if len(s) != self.n:
+                raise MethodPreconditionFailed("a class key is a tuple of %d integers, got %r"
+                                               % (self.n, h))
+        if any(q % self.det for q in self.scaled_pairings(s)):
             raise NotInDualLattice("vector pairs non-integrally with L")
-        return tuple(c % self.det for c in x.scaled())
+        return tuple(c % self.det for c in s)
+
+    def vertices(self, subset):
+        """The vertex indices of subset, sorted and distinct, each in range."""
+        out = set(subset)
+        if not all(v in range(self.n) for v in out):
+            raise MethodPreconditionFailed("vertex indices run from 0 to %d, got %r"
+                                           % (self.n - 1, subset))
+        return tuple(sorted(map(int, out)))
 
     def rep_from_key(self, key):
         return _from_scaled(self, tuple(key))
@@ -393,7 +413,7 @@ class PlumbingGraph:
 
     # -- Laufer-style iterations ----------------------------------------------
 
-    def laufer(self, start, demands, cap=LAUFER_CAP):
+    def laufer(self, start, demands):
         """Minimal x >= start with x = start mod L and (x, E_v) <= -demands[v].
 
         Generalized Laufer loop: repeatedly add E_v at a violated vertex.
@@ -401,11 +421,11 @@ class PlumbingGraph:
         bugs into diagnostics instead of hangs.
         """
         d = self.det
-        x = list(start.scaled())
+        x = list(self.scaled_of(start))
         # q_v = d * (x, E_v), maintained incrementally
         q = [self.eulers[v] * x[v] + sum(x[w] for w in self.adj[v]) for v in range(self.n)]
         lim = [-d * int(t) for t in demands]
-        for _ in range(cap):
+        for _ in range(LAUFER_CAP):
             v = next((v for v in range(self.n) if q[v] > lim[v]), None)
             if v is None:
                 return _from_scaled(self, tuple(x))
@@ -413,7 +433,7 @@ class PlumbingGraph:
             q[v] += d * self.eulers[v]
             for w in self.adj[v]:
                 q[w] += d
-        raise IterationCapExceeded("Laufer iteration exceeded %d steps" % cap)
+        raise IterationCapExceeded("Laufer iteration exceeded %d steps" % LAUFER_CAP)
 
     def fundamental_cycle(self):
         if "zmin" not in self._cache:
@@ -510,10 +530,10 @@ def class_of(x: LatticeVector) -> LatticeVector:
 def minimal_s_rep(g: PlumbingGraph, h):
     """Minimal element s_h of the Lipman cone in the class of h.
 
-    h may be a LatticeVector in the dual lattice or a class key.  Returns
-    (s_h, delta) with delta = s_h - r_h, an effective integral cycle.
+    h is read by g.class_key.  Returns (s_h, delta) with delta = s_h - r_h,
+    an effective integral cycle.
     """
-    r = g.rep_from_key(h if isinstance(h, tuple) else g.class_key(h))
+    r = g.rep_from_key(g.class_key(h))
     s = g.laufer(r, [0] * g.n)
     delta = s - r
     if not (delta.is_integral() and delta >= g.zero()):
@@ -551,8 +571,9 @@ def is_rational(g: PlumbingGraph) -> bool:
 
 
 def connected_closure(g: PlumbingGraph, subset):
-    """Vertices of the minimal connected full subgraph containing subset."""
-    subset = sorted(set(subset))
+    """Vertices of the minimal connected full subgraph containing subset:
+    the tree paths from every vertex of subset to the smallest one."""
+    subset = g.vertices(subset)
     if not subset:
         return []
     root = subset[0]
@@ -570,17 +591,6 @@ def connected_closure(g: PlumbingGraph, subset):
         while u is not None and u not in keep:
             keep.add(u)
             u = parent[u]
-    # trim leaves of the induced subtree that are not required
-    need = set(subset)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(keep):
-            if v in need:
-                continue
-            if sum(1 for w in g.adj[v] if w in keep) <= 1:
-                keep.discard(v)
-                changed = True
     return sorted(keep)
 
 
@@ -607,9 +617,12 @@ def parse_graph_text(text: str) -> PlumbingGraph:
 
 def parse_graph_json(text: str) -> PlumbingGraph:
     data = json.loads(text)
-    ids = [str(v["id"]) for v in data["vertices"]]
-    eulers = [int(v["euler"]) for v in data["vertices"]]
-    edges = [(str(a), str(b)) for a, b in data["edges"]]
+    try:
+        ids = [str(v["id"]) for v in data["vertices"]]
+        eulers = [int(v["euler"]) for v in data["vertices"]]
+        edges = [(str(a), str(b)) for a, b in data["edges"]]
+    except (KeyError, TypeError) as exc:
+        raise PlumbingError("malformed graph JSON: %r" % exc) from None
     return validate(ids, eulers, edges)
 
 

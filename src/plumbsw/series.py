@@ -59,7 +59,7 @@ def coefficient(g: PlumbingGraph, x: LatticeVector) -> int:
     its valency budget.
     """
     d = g.det
-    q = x.scaled_pairings()                   # -d times the dual coordinates
+    q = g.scaled_pairings(g.scaled_of(x))     # -d times the dual coordinates
     if any(c % d for c in q):
         raise NotInDualLattice("exponent is not in the dual lattice")
     a = [-c // d for c in q]
@@ -325,22 +325,21 @@ def sweep_histogram(g: PlumbingGraph, queries):
     return out
 
 
-def hist_not_ge(hist, subset) -> int:
-    """Counting-function value from a histogram: beta meets subset."""
-    mask = 0
-    for w in subset:
-        mask |= 1 << w
-    beta = np.arange(len(hist))
-    return int(hist[(beta & mask) != 0].sum())
+def _masked_sums(hist, subset, keep):
+    """Sums of a histogram row, or of each row of an array (then a list), over
+    the beta with keep(beta & mask, mask), mask the bits of subset."""
+    mask = sum(1 << w for w in set(subset))
+    return hist[..., keep(np.arange(hist.shape[-1]) & mask, mask)].sum(axis=-1).tolist()
 
 
-def hist_all_lt(hist, subset) -> int:
-    """Modified counting value: beta contains subset."""
-    mask = 0
-    for w in subset:
-        mask |= 1 << w
-    beta = np.arange(len(hist))
-    return int(hist[(beta & mask) == mask].sum())
+def hist_not_ge(hist, subset):
+    """Counting-function values from histogram rows: beta meets subset."""
+    return _masked_sums(hist, subset, lambda met, mask: met != 0)
+
+
+def hist_all_lt(hist, subset):
+    """Modified counting values from histogram rows: beta contains subset."""
+    return _masked_sums(hist, subset, lambda met, mask: met == mask)
 
 
 # -- public counting interface ------------------------------------------------
@@ -356,15 +355,13 @@ def counting(g: PlumbingGraph, mode: str, x: LatticeVector, subset=()) -> int:
     subset is the coordinate set I or J of the reduced and modified modes;
     the full mode ignores it.
     """
-    if x.graph is not g:
-        raise InfeasibleQuery("threshold belongs to a different graph")
+    thr = g.scaled_of(x)
     if not x.in_dual_lattice():
         raise NotInDualLattice("threshold is not in the dual lattice")
-    thr = x.scaled()
     if mode == "full":
         subset = tuple(range(g.n))
     elif mode in ("reduced", "modified"):
-        subset = tuple(sorted(set(subset)))
+        subset = g.vertices(subset)
         if not subset:
             raise InfeasibleQuery("%s mode needs a nonempty coordinate subset" % mode)
     else:
@@ -480,8 +477,8 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
     basis, with the boundary-degree bound at boundary vertices whose
     inner valency is at least 2.
     """
-    v2 = sorted(set(v2))
-    if sorted(connected_closure(g, v2)) != v2:
+    v2 = list(g.vertices(v2))
+    if not v2 or connected_closure(g, v2) != v2:
         raise PlumbingError("v2 must induce a connected full subgraph")
     n = g.n
     outside = [v for v in range(n) if v not in set(v2)]

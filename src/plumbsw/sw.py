@@ -79,12 +79,12 @@ class SwRecord:
 
 
 def sweep_hist(g, keys, depth):
-    """Deep points of the classes at depth and their histogram rows, in key
-    order.  Both live in one dict per depth, {class key: (d-scaled deep
-    point, row)}, and the classes missing there are counted with one
-    histogram pass.  A one-class pass and an every-class pass give rows that
-    differ only at beta = 0, which no counting query reads, so a row cached
-    by either serves every later caller."""
+    """Deep points of the classes at depth and their histogram rows as one
+    array, in key order.  Both live in one dict per depth, {class key:
+    (d-scaled deep point, row)}, and the classes missing there are counted
+    with one histogram pass.  A one-class pass and an every-class pass give
+    rows that differ only at beta = 0, which no counting query reads, so a
+    row cached by either serves every later caller."""
     cache = g._cache.setdefault(("hist", depth), {})
     todo = [ck for ck in keys if ck not in cache]
     if todo:
@@ -92,7 +92,7 @@ def sweep_hist(g, keys, depth):
         rows = series.sweep_histogram(g, list(zip(todo, deeps)))
         cache.update(zip(todo, zip(deeps, rows)))
     return ([_from_scaled(g, cache[ck][0]) for ck in keys],
-            [cache[ck][1] for ck in keys])
+            np.array([cache[ck][1] for ck in keys]))
 
 
 def _check_depth(depth):
@@ -110,9 +110,9 @@ def _check_sum_region(g, x):
             raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
 
 
-def _nonempty(subset):
-    """The subset as a sorted tuple of distinct vertices; it must not be empty."""
-    subset = tuple(sorted(set(subset)))
+def _nonempty(g, subset):
+    """g.vertices(subset), which must not be empty."""
+    subset = g.vertices(subset)
     if not subset:
         raise MethodPreconditionFailed("subset must be nonempty")
     return subset
@@ -128,14 +128,13 @@ def _records(g, keys, depth):
     recs = g._cache.setdefault(("sw", depth), {})
     todo = [ck for ck in keys if ck not in recs]
     if todo:
-        everything = tuple(range(g.n))
         sides = []
         for c in (depth, depth + 1):
             xs, hists = sweep_hist(g, todo, c)
             for x in xs:
                 _check_sum_region(g, x)
-            sides.append([-series.hist_not_ge(hist, everything) - quad_term(g, x)
-                          for x, hist in zip(xs, hists)])
+            sides.append([-q - quad_term(g, x)
+                          for x, q in zip(xs, series.hist_not_ge(hists, range(g.n)))])
         for ck, sw0, sw1 in zip(todo, *sides):
             if sw0 != sw1:
                 raise DepthNotStable("class %s: %s at depth %d vs %s at depth %d"
@@ -152,7 +151,7 @@ def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH, subset=()):
     With a subset, every class of each piece of T - subset is counted the
     same way first, at DEFAULT_DEPTH: the records component_term reads."""
     if subset:
-        for comp, _ in g.components_minus(_nonempty(subset)):
+        for comp, _ in g.components_minus(_nonempty(g, subset)):
             sw_table(comp)
     return _records(g, g.classes().reps_scaled, depth)
 
@@ -160,17 +159,17 @@ def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH, subset=()):
 def sw_invariant(g: PlumbingGraph, h, depth: int = DEFAULT_DEPTH) -> SwRecord:
     """The invariant of the class of h, stable under depth + 1.
 
-    h may be a LatticeVector in the dual lattice or a class key.  Only this
-    one class is counted, unless its record is cached at this depth; a
-    caller that reads every class asks sw_table first.
+    h is read by g.class_key.  Only this one class is counted, unless its
+    record is cached at this depth; a caller that reads every class asks
+    sw_table first.
     """
-    ck = h if isinstance(h, tuple) else g.class_key(h)
+    ck = g.class_key(h)
     return _records(g, [ck], depth)[ck]
 
 
 def component_term(comp: PlumbingGraph, y: LatticeVector) -> Fraction:
     """sw of the class of y on the component, normalized at y itself."""
-    rec = sw_invariant(comp, comp.class_key(y))
+    rec = sw_invariant(comp, y)
     return rec.sw + quad_term(comp, y)
 
 
@@ -185,7 +184,8 @@ class QuasiPoly:
     contribution of the component classes, which is periodic: it factors
     through the map l -> (classes of the component restrictions), i.e.
     through the cosets of the finite-index sublattice where all component
-    restrictions stay integral.
+    restrictions stay integral.  The series is that of the class reduced to
+    the subset variables (every vertex: the unreduced series).
     """
 
     graph: PlumbingGraph
@@ -193,9 +193,12 @@ class QuasiPoly:
     subset: tuple
 
     def __post_init__(self):
-        self._r = self.graph.rep_from_key(self.class_key)
-        self._swT = sw_invariant(self.graph, self.class_key).sw
-        self._forest = self.graph.components_minus(self.subset)
+        g = self.graph
+        self.class_key = g.class_key(self.class_key)
+        self.subset = _nonempty(g, self.subset)
+        self._r = g.rep_from_key(self.class_key)
+        self._swT = sw_invariant(g, self.class_key).sw
+        self._forest = g.components_minus(self.subset)
 
     def evaluate(self, l: LatticeVector) -> Fraction:
         """Value at integral l; equals the counting function at r_h + l deep."""
@@ -213,18 +216,11 @@ class QuasiPoly:
         return self.evaluate(self.graph.zero())
 
 
-def quasipoly_reduced(g: PlumbingGraph, h, subset) -> QuasiPoly:
-    """The quasipolynomial of the class-h series reduced to the subset
-    variables; the whole vertex set gives the unreduced series."""
-    ck = h if isinstance(h, tuple) else g.class_key(h)
-    return QuasiPoly(g, ck, _nonempty(subset))
-
-
 # -- periodic constants ----------------------------------------------------------
 
 
 def pc_closed_form(g, ck, subset) -> Fraction:
-    """Closed-form pc of class key ck; subset is sorted and nonempty."""
+    """Closed-form pc of the class key ck reduced to the subset."""
     return QuasiPoly(g, ck, subset).pc()
 
 
@@ -258,7 +254,8 @@ def pc_univariate_fit(g, h, v) -> Fraction:
     Quadratic fit through three sample cuts, two further cuts held out as
     verification; any mismatch raises rather than falling back.
     """
-    ck = h if isinstance(h, tuple) else g.class_key(h)
+    ck = g.class_key(h)
+    (v,) = g.vertices((v,))
     d = g.det
     m = univariate_step(g, v)
     step = m * d                              # progression step, scaled units
@@ -290,8 +287,8 @@ def pc_univariate_fit(g, h, v) -> Fraction:
 
 def pc_reduced(g: PlumbingGraph, h, subset, method: str = "closed_form") -> Fraction:
     """Periodic constant of the class-h series reduced to the subset variables."""
-    subset = _nonempty(subset)
-    ck = h if isinstance(h, tuple) else g.class_key(h)
+    subset = _nonempty(g, subset)
+    ck = g.class_key(h)
     if method == "closed_form":
         return pc_closed_form(g, ck, subset)
     if method == "univariate_fit":
@@ -371,8 +368,8 @@ def _component_counts(forest, xs):
             raise InternalDisagreement("restriction to %s does not pair like x" % (comp.ids,))
         ys = y_scaled.tolist()
         hists = series.sweep_histogram(comp, [(tuple(c % comp.det for c in y), y) for y in ys])
-        for row, hist in zip(counts, hists):
-            row.append(series.hist_not_ge(hist, range(comp.n)))
+        for row, q in zip(counts, series.hist_not_ge(hists, range(comp.n))):
+            row.append(q)
     return counts
 
 
@@ -390,20 +387,16 @@ def _counting_surgery(g, keys, subset, depths):
     if not depths:
         raise MethodPreconditionFailed("no depth given: the identity would be checked nowhere")
     _check_depth(min(depths))
-    subset = _nonempty(subset)
+    subset = _nonempty(g, subset)
     forest = g.components_minus(subset)
-    everything = tuple(range(g.n))
     items = {ck: [] for ck in keys}
     for depth in depths:
         xs, hists = sweep_hist(g, keys, depth)
-        comps = _component_counts(forest, xs)
-        for ck, hist, comp_vals in zip(keys, hists, comps):
-            items[ck].append({
-                "depth": depth,
-                "full": series.hist_not_ge(hist, everything),
-                "reduced": series.hist_not_ge(hist, subset),
-                "components": comp_vals,
-            })
+        for ck, full, reduced, comp_vals in zip(
+                keys, series.hist_not_ge(hists, range(g.n)),
+                series.hist_not_ge(hists, subset), _component_counts(forest, xs)):
+            items[ck].append({"depth": depth, "full": full, "reduced": reduced,
+                              "components": comp_vals})
     reports = {}
     for ck, its in items.items():
         sides = [(it["full"], it["reduced"] + sum(it["components"])) for it in its]
@@ -417,7 +410,7 @@ def _counting_surgery(g, keys, subset, depths):
 def verify_counting_surgery(g, h, subset,
                             depths=(DEFAULT_DEPTH, DEFAULT_DEPTH + 1)) -> SurgeryReport:
     """Counting-level surgery identity for the class of h at every depth."""
-    ck = h if isinstance(h, tuple) else g.class_key(h)
+    ck = g.class_key(h)
     return _counting_surgery(g, [ck], subset, depths)[ck]
 
 
@@ -436,8 +429,8 @@ def verify_pc_surgery(g, h, subset) -> SurgeryReport:
     the counting-level identity is verified instead, with the closed-form
     pc attached and the report flagged accordingly.
     """
-    ck = h if isinstance(h, tuple) else g.class_key(h)
-    subset = _nonempty(subset)
+    ck = g.class_key(h)
+    subset = _nonempty(g, subset)
     if ck == tuple([0] * g.n) and g.numerically_gorenstein:
         method = "gorenstein"
         pc = pc_gorenstein(g, subset)
@@ -479,8 +472,8 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
     component contribution vanishes because restriction commutes with
     taking minimal cone representatives.
     """
-    ck = h if isinstance(h, tuple) else g.class_key(h)
-    subset = _nonempty(subset)
+    ck = g.class_key(h)
+    subset = _nonempty(g, subset)
     forest = g.components_minus(subset)
     for comp, _ in forest:
         if not is_rational(comp):

@@ -98,9 +98,7 @@ def test_criterion_5_node_reduction(showcase1, showcase2):
     with budget("criterion 5: node reduction preserves pc; string terms vanish", 60):
         graphs = [showcase1, showcase2, fx.gorenstein_star()]
         graphs += [fx.ade_graph(n) for n in ("D4", "D5", "E6", "E7", "E8")]
-        graphs += [g for g in fx.random_trees(seed=2024, count=3,
-                                              max_det=500, max_cost=20_000_000)
-                   if g.nodes]
+        graphs += [g for g in fx.random_trees(**fx.CORPUS_DRAW) if g.nodes]
         for g in graphs:
             assert g.nodes, "criterion applies to fixtures with nodes"
             everything = tuple(range(g.n))
@@ -158,7 +156,7 @@ def test_criterion_7_gorenstein_suite(showcase1):
             samples = 0
             while samples < 20:
                 subset = subsets[samples % len(subsets)]
-                qp = sw.quasipoly_reduced(g, zero_key(g), subset)
+                qp = sw.QuasiPoly(g, zero_key(g), subset)
                 l = g.vector([rng.randint(-1, 2) for _ in range(g.n)])
                 assert qp.evaluate(l) == qp.evaluate(g.ZK - l)
                 samples += 1

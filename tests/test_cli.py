@@ -4,6 +4,7 @@ import os
 import pytest
 
 from plumbsw import cli, sw
+from plumbsw import fixtures as fx
 from plumbsw.graph import emit_graph_text, load_graph
 
 
@@ -97,6 +98,27 @@ def test_coordinates_outside_dual_lattice_rejected(corpus_dir, capsys, argv):
     code, rep = run_json(argv[:1] + ["--graph", str(corpus_dir / "a2.pg")] + argv[1:],
                          capsys)
     assert code == 2 and rep["error"] == "NotInDualLattice"
+
+
+@pytest.mark.parametrize("argv", [["coeff", "--exponent", "1/0,1"],
+                                  ["count", "--threshold", "1,1/0"],
+                                  ["sw", "--class", "1/0,0"],
+                                  ["surgery", "--class", "0,1/0", "--subset", "v1"]])
+def test_zero_denominator_is_usage_error(corpus_dir, capsys, argv):
+    code, rep = run_json(argv[:1] + ["--graph", str(corpus_dir / "a2.pg")] + argv[1:],
+                         capsys)
+    assert code == 2 and rep["error"] == "PlumbingError"
+
+
+@pytest.mark.parametrize("text", ['{"vertices": [{"id": "a"}], "edges": []}',
+                                  '{"vertices": [{"id": "a", "euler": -2}]}',
+                                  '{"vertices": 3, "edges": []}'],
+                         ids=["no_euler", "no_edges", "vertices_not_a_list"])
+def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, rep = run_json(["validate", "--graph", str(p)], capsys)
+    assert code == 2 and rep["error"] == "PlumbingError"
 
 
 def test_sw_rejects_negative_depth(corpus_dir, capsys):
@@ -249,6 +271,10 @@ def test_manifest_contents(corpus_dir):
     assert by_id["ex_graph1"]["numerically_gorenstein"] is True
     assert by_id["ex_graph2"]["showcase_class"] == ["0/1", "1/2", "1/2", "1/2", "1/2"]
     assert by_id["e8"]["rational"] is True
+    # the recorded draw regenerates the corpus's random trees
+    drawn = fx.random_trees(**manifest["generator"])
+    assert [emit_graph_text(g) for g in drawn] == [
+        (corpus_dir / ("random_%d.pg" % i)).read_text() for i in range(len(drawn))]
 
 
 def test_output_file_option(corpus_dir, tmp_path, capsys):

@@ -273,7 +273,7 @@ comp, origin = next(iter(star.components_minus([1])))
 comp.dual_scaled = tuple(tuple(2 * c for c in col) for col in comp.dual_scaled)
 expect(InternalDisagreement, graph.dual_restrict, star.basis_vector(origin[0]), comp, origin)
 # quasipolynomials take integral arguments only
-expect(MethodPreconditionFailed, sw.quasipoly_reduced(g, g.zero(), range(g.n)).evaluate,
+expect(MethodPreconditionFailed, sw.QuasiPoly(g, g.zero(), range(g.n)).evaluate,
        half)
 # the du Val families exist only in their ranks
 expect(PlumbingError, fx.ade_graph, "D3")

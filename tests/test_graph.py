@@ -277,6 +277,34 @@ def test_connected_closure(e8):
     assert connected_closure(e8, [3, 7]) == [2, 3, 7]
 
 
+def _tree_path(g, a, b):
+    """The vertices on the tree path from a to b."""
+    parent = {a: None}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    path = []
+    while b is not None:
+        path.append(b)
+        b = parent[b]
+    return path
+
+
+def test_connected_closure_is_the_union_of_pair_paths():
+    # the minimal subtree holding a subset is the union of the tree paths
+    # between its pairs (a lone vertex is its own path)
+    for g in fx.random_trees(seed=5, count=60, n_range=(2, 9)):
+        for r in range(1, min(g.n, 4) + 1):
+            for subset in itertools.combinations(range(g.n), r):
+                brute = set(subset).union(*(_tree_path(g, a, b) for a, b
+                                            in itertools.combinations(subset, 2)))
+                assert connected_closure(g, subset) == sorted(brute)
+
+
 def test_file_roundtrip(showcase1):
     text = emit_graph_text(showcase1)
     g2 = parse_graph(text)

@@ -101,6 +101,17 @@ def test_counting_inclusion_exclusion(showcase2):
     assert direct == via_ie
 
 
+def test_histogram_reads_take_an_array_of_rows(showcase2):
+    # one read of an array of rows gives the per-row reads, as Python ints
+    g = showcase2
+    rows = sweep_histogram(g, [(key, [16] * g.n) for key in g.classes().reps_scaled])
+    for read in (hist_not_ge, hist_all_lt):
+        for subset in ((0,), (1, 2), range(g.n)):
+            per_row = [read(row, subset) for row in rows]
+            assert read(rows, subset) == per_row
+            assert {type(q) for q in per_row} == {int}
+
+
 def test_counting_class_decomposition(showcase2):
     # the class-split partial sums over a fixed region add up to the plain sum
     g = showcase2

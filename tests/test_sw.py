@@ -7,21 +7,28 @@ import pytest
 from plumbsw import fixtures as fx
 from plumbsw import series
 from plumbsw import sw as sw_module
-from plumbsw.cubes import swbar
+from plumbsw.cubes import coefficient_via_cubes, gorenstein_pc, swbar
 from plumbsw.errors import (
     BoundViolation,
     ComponentNotRational,
     IdentityViolation,
     InfeasibleQuery,
     MethodPreconditionFailed,
+    NotInDualLattice,
 )
-from plumbsw.graph import PlumbingGraph, class_of, dual_restrict, minimal_s_rep
+from plumbsw.graph import (
+    PlumbingGraph,
+    class_of,
+    connected_closure,
+    dual_restrict,
+    minimal_s_rep,
+)
 from plumbsw.sw import (
+    QuasiPoly,
     component_term,
     counting_surgery_sweep,
     pc_reduced,
     quad_term,
-    quasipoly_reduced,
     reduction_rational,
     sw_invariant,
     sw_table,
@@ -114,7 +121,7 @@ def test_component_counts_refuse_an_overflowing_restriction(showcase2):
 def test_quasipoly_full_matches_counting_deep(showcase2):
     g = showcase2
     for key in g.classes().reps_scaled[:6]:
-        qp = quasipoly_reduced(g, key, range(g.n))
+        qp = QuasiPoly(g, key, range(g.n))
         x = g.deep_point(key, 2)
         l = x - g.rep_from_key(key)
         assert qp.evaluate(l) == series.counting(g, "full", x)
@@ -122,13 +129,13 @@ def test_quasipoly_full_matches_counting_deep(showcase2):
 
 def test_quasipoly_full_constant_is_pc(showcase2):
     for key in showcase2.classes().reps_scaled[:4]:
-        qp = quasipoly_reduced(showcase2, key, range(showcase2.n))
+        qp = QuasiPoly(showcase2, key, range(showcase2.n))
         rec = sw_invariant(showcase2, key)
         assert qp.pc() == -rec.normalized_r
 
 
 def test_quasipoly_e8_closed_form(e8):
-    qp = quasipoly_reduced(e8, e8.zero(), range(e8.n))
+    qp = QuasiPoly(e8, e8.zero(), range(e8.n))
     rng = random.Random(2)
     for _ in range(5):
         l = e8.vector([rng.randint(0, 3) for _ in range(8)])
@@ -139,7 +146,7 @@ def test_quasipoly_reduced_matches_counting_deep(showcase2):
     g = showcase2
     subset = (1, 2)
     for key in g.classes().reps_scaled[:6]:
-        qp = quasipoly_reduced(g, key, subset)
+        qp = QuasiPoly(g, key, subset)
         for depth in (1, 2):
             x = g.deep_point(key, depth)
             l = x - g.rep_from_key(key)
@@ -152,7 +159,7 @@ def test_quasipoly_reduced_full_subset_degenerates(showcase2):
     key = g.classes().reps_scaled[3]
     x = g.deep_point(key, 2)
     assert series.counting(g, "reduced", x, range(g.n)) == series.counting(g, "full", x)
-    assert (quasipoly_reduced(g, key, range(g.n)).pc() == pc_reduced(g, key, range(g.n))
+    assert (QuasiPoly(g, key, range(g.n)).pc() == pc_reduced(g, key, range(g.n))
             == -sw_invariant(g, key).normalized_r)
 
 
@@ -348,8 +355,96 @@ def test_duality_of_reduced_quasipoly(gor_star):
     zero = tuple([0] * g.n)
     rng = random.Random(8)
     for subset in [(0,), (1, 2), (0, 2, 4)]:
-        qp = quasipoly_reduced(g, zero, subset)
+        qp = QuasiPoly(g, zero, subset)
         assert qp.evaluate(g.zero()) == qp.evaluate(g.ZK)
         for _ in range(5):
             l = g.vector([rng.randint(-1, 2) for _ in range(g.n)])
             assert qp.evaluate(l) == qp.evaluate(g.ZK - l)
+
+
+# -- argument rules: every class, subset and vector argument is read by the
+# graph, and a refusal comes before any enumeration walk
+
+
+def test_unreduced_class_key_reads_as_its_class(walks):
+    # (4, 0, 0, 0) is the trivial class of D4 (det 4) written without reducing mod 4
+    g = fx.ade_graph("D4")
+    unreduced = verify_counting_surgery(g, (4, 0, 0, 0), (2,)).as_dict()
+    assert unreduced == verify_counting_surgery(g, (0, 0, 0, 0), (2,)).as_dict()
+    assert unreduced["verdict"] == "equal"
+    assert sw_invariant(g, (4, 0, -4, 8)) == sw_invariant(g, (0,) * 4)
+
+
+CLASS_READERS = {
+    "sw_invariant": lambda g, h: sw_invariant(g, h),
+    "minimal_s_rep": lambda g, h: minimal_s_rep(g, h),
+    "quasipoly": lambda g, h: QuasiPoly(g, h, (2,)),
+    "pc_reduced": lambda g, h: pc_reduced(g, h, (2,)),
+    "pc_univariate_fit": lambda g, h: sw_module.pc_univariate_fit(g, h, 2),
+    "verify_counting_surgery": lambda g, h: verify_counting_surgery(g, h, (2,)),
+    "verify_pc_surgery": lambda g, h: verify_pc_surgery(g, h, (2,)),
+    "red1": lambda g, h: reduction_rational(g, h, (2,), "red1"),
+}
+
+
+@pytest.mark.parametrize("reader", CLASS_READERS, ids=list(CLASS_READERS))
+def test_class_outside_the_dual_lattice_is_refused(walks, reader):
+    g = fx.ade_graph("D4")
+    with pytest.raises(NotInDualLattice):
+        CLASS_READERS[reader](g, (1, 0, 0, 0))
+    for malformed in ((0, 0, 0), (0, 0, 0, Fraction(1, 2))):
+        with pytest.raises(MethodPreconditionFailed):
+            CLASS_READERS[reader](g, malformed)
+    assert walks == []
+
+
+SUBSET_READERS = {
+    "pc_reduced": lambda g, s: pc_reduced(g, (0,) * 4, s),
+    "counting": lambda g, s: series.counting(g, "reduced", g.vector([1] * 4), s),
+    "modified_counting": lambda g, s: series.counting(g, "modified", g.vector([1] * 4), s),
+    "sw_table": lambda g, s: sw_table(g, subset=s),
+    "quasipoly": lambda g, s: QuasiPoly(g, (0,) * 4, s),
+    "verify_counting_surgery": lambda g, s: verify_counting_surgery(g, (0,) * 4, s),
+    "counting_surgery_sweep": lambda g, s: counting_surgery_sweep(g, s),
+    "verify_pc_surgery": lambda g, s: verify_pc_surgery(g, (0,) * 4, s),
+    "red2": lambda g, s: reduction_rational(g, (0,) * 4, s, "red2"),
+    "gorenstein_pc": lambda g, s: gorenstein_pc(g, s),
+    "support_bound_report": lambda g, s: series.support_bound_report(g, s),
+    "connected_closure": lambda g, s: connected_closure(g, s),
+}
+
+
+@pytest.mark.parametrize("subset", [(9,), (-1,), (0, 4), ("v1",)])
+@pytest.mark.parametrize("reader", SUBSET_READERS, ids=list(SUBSET_READERS))
+def test_vertex_outside_the_graph_is_refused(walks, reader, subset):
+    with pytest.raises(MethodPreconditionFailed):
+        SUBSET_READERS[reader](fx.ade_graph("D4"), subset)
+    assert walks == []
+
+
+@pytest.mark.parametrize("v", [4, -1])
+def test_univariate_vertex_outside_the_graph_is_refused(walks, v):
+    with pytest.raises(MethodPreconditionFailed):
+        sw_module.pc_univariate_fit(fx.ade_graph("D4"), (0,) * 4, v)
+    assert walks == []
+
+
+VECTOR_READERS = {
+    "coefficient": lambda g, x: series.coefficient(g, x),
+    "coefficient_via_cubes": lambda g, x: coefficient_via_cubes(g, x),
+    "chi": lambda g, x: g.chi(x),
+    "class_key": lambda g, x: g.class_key(x),
+    "counting": lambda g, x: series.counting(g, "full", x),
+    "sw_invariant": lambda g, x: sw_invariant(g, x),
+    "laufer": lambda g, x: g.laufer(x, [0] * g.n),
+}
+
+
+@pytest.mark.parametrize("reader", VECTOR_READERS, ids=list(VECTOR_READERS))
+def test_vector_of_another_graph_is_refused(walks, reader):
+    # A4 has as many vertices as D4, so only the graph tells the vectors apart
+    g, other = fx.ade_graph("D4"), fx.ade_graph("A4")
+    for x in (other.zero(), other.vector([1, 2, 2, 1])):
+        with pytest.raises(MethodPreconditionFailed):
+            VECTOR_READERS[reader](g, x)
+    assert walks == []

@@ -17,11 +17,13 @@ methods for two classes, plus ``--class all`` in closed form on the nodes;
 ``--class all`` in counting mode per subset, in the ``pc``, ``red1`` and
 ``red2`` modes on the nodes and in the ``pc`` mode on the leaves;
 ``gorenstein`` on two subsets; ``count`` in three modes; ``coeff``.  Then
-usage errors on ``a2`` and two over-long thresholds on ``a1``: one that
-would overflow int64 and one that asks for about 10^15 points.  An
-exception that escapes ``cli.run`` is recorded as exit 1, the
-interpreter's code for it, with its type hashed after the output.  The 776
-commands take about 65 s on one core, most of it on ``ex_graph1``.
+usage errors on ``a2``, two over-long thresholds on ``a1`` (one that
+would overflow int64 and one that asks for about 10^15 points), and two
+malformed inputs: an exponent with a zero denominator and a JSON graph
+whose vertex has no Euler number.  An exception that escapes ``cli.run`` is
+recorded as exit 1, the interpreter's code for it, with its type hashed
+after the output.  The 778 commands take about 65 s on one core, most of it
+on ``ex_graph1``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import sys
 import tempfile
 
 from plumbsw import cli
+
+# a JSON graph whose one vertex has no Euler number, written beside the corpus
+NO_EULER = ("no_euler.json", '{"vertices": [{"id": "a"}], "edges": []}')
 
 
 def commands(corpus):
@@ -87,7 +92,9 @@ def commands(corpus):
             ["surgery"] + a2 + ["--class", "#0", "--subset", "v1", "--mode", "bogus"],
             ["info", "--graph", os.path.join(corpus, "missing.pg")],
             ["count"] + a1 + ["--threshold", "100000000000000000000000"],
-            ["count"] + a1 + ["--threshold", "1000000000000000"]]
+            ["count"] + a1 + ["--threshold", "1000000000000000"],
+            ["coeff"] + a2 + ["--exponent", "1/0,1"],
+            ["validate", "--graph", os.path.join(corpus, NO_EULER[0])]]
     return out
 
 
@@ -109,6 +116,8 @@ def main():
     with tempfile.TemporaryDirectory() as corpus:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(["fixtures", "--out", corpus])
+        with open(os.path.join(corpus, NO_EULER[0]), "w", encoding="utf-8") as fh:
+            fh.write(NO_EULER[1])
         for argv in commands(corpus):
             code, digest = run_one(argv, corpus)
             shown = " ".join(a.replace(corpus, "<corpus>") for a in argv)

@@ -144,7 +144,7 @@ def _cmd_count(args):
 def _cmd_sw(args):
     g = load_graph(args.graph)
     if args.class_sel == "all":
-        sw.sw_table(g, args.depth)      # one enumeration per depth for every class
+        sw.sw_table(g, args.depth)      # one enumeration for every class
     out = []
     for ck in _parse_classes(g, args.class_sel, args.graph):
         rec = sw.sw_invariant(g, ck, depth=args.depth)
@@ -174,7 +174,7 @@ def _cmd_surgery(args):
     subset = _parse_subset(g, args.subset)
     depths = tuple(int(t) for t in args.depth.split(","))
     if args.mode == "counting" and args.class_sel == "all":
-        # one histogram pass of the parent graph per depth for every class
+        # one histogram pass of the parent graph for every class and depth
         reps = list(sw.counting_surgery_sweep(g, subset, depths=depths).values())
     else:
         if args.class_sel == "all" and (args.mode == "pc" or all(

@@ -457,15 +457,17 @@ class PlumbingGraph:
     # -- induced subgraphs ------------------------------------------------------
 
     def components_minus(self, subset):
-        """Connected components of the full subgraph on V minus subset.
+        """Connected components of the full subgraph on V minus subset, whose
+        vertex indices are read by vertices().
 
         Component graphs are pooled by their vertex set, so the same piece
         arising from different deletions shares one object (and its caches).
         """
-        key = ("components", frozenset(subset))
+        subset = self.vertices(subset)
+        key = ("components", subset)
         if key not in self._cache:
             pool = self._cache.setdefault("component_pool", {})
-            keep = [v for v in range(self.n) if v not in set(subset)]
+            keep = [v for v in range(self.n) if v not in subset]
             seen = set()
             comps = []
             origins = []
@@ -545,8 +547,12 @@ def dual_restrict(x: LatticeVector, comp: PlumbingGraph, origin) -> LatticeVecto
     """Restriction of x in L'(T) to L'(T_i) adjoint to the inclusion of lattices.
 
     Defined by (y, E_w)_{T_i} = (x, E_w)_T for every vertex w of the
-    component; origin maps component positions to parent indices.
+    component; origin maps component positions to parent indices.  comp
+    must be the piece of x's graph that components_minus pools for origin.
     """
+    if x.graph._cache.get("component_pool", {}).get(tuple(origin)) is not comp:
+        raise MethodPreconditionFailed("%s is not the piece of its graph on %r"
+                                       % (comp.ids, origin))
     dp = x.graph.det
     q = x.scaled_pairings()
     pair = [q[pv] // dp for pv in origin]

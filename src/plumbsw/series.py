@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,28 +79,41 @@ CHUNK_ROWS = 1 << 16
 POINT_LIMIT = 10 ** 12      # refuse enumerations that could yield more points
 
 
-def _count_below(r, m):
-    """Number of integers a >= 0 with a*m < r."""
-    if r <= 0:
-        return 0
-    return (r - 1) // m + 1
+def _value_counts(g, v, pairs):
+    """Per (w, top) pair, top > 0, the number of values a_v >= 0 with
+    a_v (d E*_v)_w < top, at most delta_v - 1 of them where delta_v >= 2."""
+    col, dv = g.dual_scaled[v], g.delta[v]
+    runs = [(top - 1) // col[w] + 1 for w, top in pairs]
+    return [min(r, dv - 1) for r in runs] if dv >= 2 else runs
 
 
-def _point_bound(g, envelope):
-    """Upper bound on the points _iter_batches yields below an envelope: the
-    sum over tracked w of the product over vertices of the number of values
-    a_v with a_v (d E*_v)_w < envelope[w], at most delta_v - 1 of them where
-    delta_v >= 2."""
-    total = 0
-    for w, top in enumerate(envelope):
-        if top is None:
-            continue
-        points = 1
-        for col, dv in zip(g.dual_scaled, g.delta):
-            runs = _count_below(top, col[w])
-            points *= runs if dv <= 1 else min(runs, dv - 1)
-        total += points
-    return total
+def _point_bound(g, plan):
+    """Upper bound on the points a walk by plan yields: the sum over its
+    (w, top) pairs of the product over its free vertices of their
+    _value_counts, where a vertex stepped by m takes at most ceil(values / m)
+    of its values whatever its residue.  Every point yielded is below some
+    pair."""
+    total = [1] * len(plan.pairs)
+    for v, step in zip(plan.order, plan.steps):
+        m = 1 if step is None else step[4]
+        total = [t * -(-r // m) for t, r in zip(total, _value_counts(g, v, plan.pairs))]
+    return sum(total)
+
+
+def _free_order(g, pairs):
+    """The vertices with a free dual coordinate (valency not 2) in walk
+    order, filled from the back: each position goes to the vertex whose
+    removal leaves the smallest point bound on the frontier before it, the
+    lowest index on a tie.  Every value count is at least 1, so the bound
+    without v is the bound with it, pair by pair divided by v's counts."""
+    counts = {v: _value_counts(g, v, pairs) for v in range(g.n) if g.delta[v] != 2}
+    order = []
+    while counts:
+        full = list(map(math.prod, zip(*counts.values())))
+        v = min(counts, key=lambda v: sum(map(operator.floordiv, full, counts[v])))
+        order.append(v)
+        del counts[v]
+    return order[::-1]
 
 
 def _class_step(g: PlumbingGraph, v, later, target):
@@ -127,20 +142,39 @@ def _class_step(g: PlumbingGraph, v, later, target):
     return w, hw, b, u, m, pow(g.dual_scaled[v][w] // u, -1, m)
 
 
-def _iter_batches(g: PlumbingGraph, envelope, target=None):
-    """Yield (coords, z) numpy batches over the support points l' with
-    coord_w < envelope[w] for at least one tracked w.
+class WalkPlan(NamedTuple):
+    """What one walk below an envelope visits, fixed before it starts."""
+
+    pairs: list             # the tracked (w, top): envelope entries above 0
+    order: list             # the free vertices, in _free_order
+    steps: list             # each one's _class_step, given the vertices after it
+    target: tuple | None    # the class key the steps aim at; the walk itself
+                            # reads only the steps
+
+
+def _walk_plan(g: PlumbingGraph, envelope, target=None) -> WalkPlan:
+    """The plan of the walk below an envelope towards a class key (or None).
 
     envelope: per-coordinate strict upper bounds in d-scaled units, or None
-    for untracked coordinates.  coords batches are int64 arrays (k, n) of
-    d-scaled coordinates, z the int64 coefficients, k at most CHUNK_ROWS.
-    target: a class key, or None.  With a target, the batches hold every
-    point of that class and may hold points of other classes, which the
-    caller filters out.
+    for untracked coordinates."""
+    pairs = [(w, top) for w, top in enumerate(envelope) if top is not None and top > 0]
+    order = _free_order(g, pairs) if pairs else []      # no point lies below no pair
+    steps = [_class_step(g, v, order[i + 1:], target) for i, v in enumerate(order)]
+    return WalkPlan(pairs, order, steps, target)
 
-    One frontier of partial points walks the vertices with a free dual
-    coordinate.  Each vertex expands every live row with the same
-    vectorized step a_v = r + j m, j = 0, 1, ...  Without a target, or where
+
+def _iter_batches(g: PlumbingGraph, plan: WalkPlan):
+    """Yield (coords, z) numpy batches over the support points l' with
+    coord_w < top for at least one pair (w, top) of the plan.
+
+    coords batches are int64 arrays (k, n) of d-scaled coordinates, z the
+    int64 coefficients, k at most CHUNK_ROWS.  With a target, the batches
+    hold every point of that class and may hold points of other classes,
+    which the caller filters out.
+
+    One frontier of partial points walks the free vertices in the plan's
+    order.  Each vertex expands every live row with the same vectorized
+    step a_v = r + j m, j = 0, 1, ...  Without a target, or where
     _class_step finds no step, r = 0 and m = 1 and the no-op arithmetic is
     skipped; otherwise m and the per-row residue r skip the values from
     which the later vertices cannot reach the class, and a row with no such
@@ -149,28 +183,25 @@ def _iter_batches(g: PlumbingGraph, envelope, target=None):
     keeps one window alive, so memory is bounded by (number of levels) x
     CHUNK_ROWS rows whatever the run lengths, with or without a target.
     """
-    tracked = [w for w in range(g.n) if envelope[w] is not None and envelope[w] > 0]
-    if not tracked:
+    pairs, order, steps, _ = plan
+    if not pairs:
         return
+    tracked = [w for w, _ in pairs]
     cols = np.array(g.dual_scaled, dtype=np.int64)         # row v: d E*_v
     cols_t = cols[:, tracked]
-    top = np.array([envelope[w] for w in tracked], dtype=np.int64)
-    # the vertices with a free dual coordinate (valency not 2): nodes first,
-    # then ends, the longest runs (smallest dual-basis entries) last
-    run = cols_t.min(axis=1)
-    order = sorted((v for v in range(g.n) if g.delta[v] != 2),
-                   key=lambda v: (g.delta[v] <= 1, -run[v]))
-    steps = {v: _class_step(g, v, order[i + 1:], target) for i, v in enumerate(order)}
+    top = np.array([t for _, t in pairs], dtype=np.int64)
 
-    def windows(v, coords, z):
-        """The rows expanded by a_v = r + j m while some tracked coordinate
-        stays below its bound, in windows of at most CHUNK_ROWS rows."""
+    def windows(i, coords, z):
+        """The rows expanded by a_v = r + j m, v = order[i], while some
+        tracked coordinate stays below its bound, in windows of at most
+        CHUNK_ROWS rows."""
+        v = order[i]
         dv = g.delta[v]
         # ceil(remainder / step) per tracked coordinate, 0 where nothing remains
         caps = ((np.maximum(top - coords[:, tracked], 0) - 1) // cols_t[v] + 1).max(axis=1)
         if dv >= 3:
             np.minimum(caps, dv - 1, out=caps)              # exponents 0..delta-2
-        step = steps[v]
+        step = steps[i]
         if step is not None:
             # caps counts the values r, r + m, ... below the cap, none where
             # no a_v reaches the class
@@ -189,7 +220,7 @@ def _iter_batches(g: PlumbingGraph, envelope, target=None):
             yield coords[rows] + a[:, None] * cols[v], z[rows] * _vertex_factor(dv, a)
 
     # depth first: stack[i] walks the windows of vertex order[i]
-    stack = [windows(order[0], np.zeros((1, g.n), dtype=np.int64), np.ones(1, dtype=np.int64))]
+    stack = [windows(0, np.zeros((1, g.n), dtype=np.int64), np.ones(1, dtype=np.int64))]
     while stack:
         batch = next(stack[-1], None)
         if batch is None:
@@ -197,7 +228,7 @@ def _iter_batches(g: PlumbingGraph, envelope, target=None):
         elif len(stack) == len(order):
             yield batch
         else:
-            stack.append(windows(order[len(stack)], *batch))
+            stack.append(windows(len(stack), *batch))
 
 
 class SupportStore:
@@ -212,7 +243,7 @@ class SupportStore:
         self.envelope = list(envelope)
         chunks = []
         zchunks = []
-        for coords, z in _iter_batches(g, envelope):
+        for coords, z in _iter_batches(g, _walk_plan(g, envelope)):
             chunks.append(coords)
             zchunks.append(z)
         self.buckets = {}
@@ -271,7 +302,8 @@ def sweep_histogram(g: PlumbingGraph, queries):
     # queries of one class let the enumeration skip the other classes
     target = tuple(keys[0].tolist()) if (keys == keys[0]).all() else None
     envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
-    bound = _point_bound(g, envelope)
+    plan = _walk_plan(g, envelope, target)
+    bound = _point_bound(g, plan)
     if bound > POINT_LIMIT:
         raise InfeasibleQuery("threshold too large: up to %d support points to enumerate, "
                               "more than %d" % (bound, POINT_LIMIT))
@@ -308,7 +340,7 @@ def sweep_histogram(g: PlumbingGraph, queries):
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = 1 << np.arange(n, dtype=np.int64)
-    for coords, z in _iter_batches(g, envelope, target):
+    for coords, z in _iter_batches(g, plan):
         lo, hi = runs_of(coords % d)
         # points of unqueried classes have empty runs and drop out first;
         # then each pass tallies every point at the next query of its run

@@ -78,21 +78,24 @@ class SwRecord:
         }
 
 
-def sweep_hist(g, keys, depth):
-    """Deep points of the classes at depth and their histogram rows as one
-    array, in key order.  Both live in one dict per depth, {class key:
-    (d-scaled deep point, row)}, and the classes missing there are counted
-    with one histogram pass.  A one-class pass and an every-class pass give
-    rows that differ only at beta = 0, which no counting query reads, so a
-    row cached by either serves every later caller."""
-    cache = g._cache.setdefault(("hist", depth), {})
-    todo = [ck for ck in keys if ck not in cache]
+def sweep_hist(g, keys, depths):
+    """Deep points of the classes and their histogram rows at each depth: one
+    (points, rows array) pair per depth, in key order.  Both live in one dict
+    per depth, {class key: (d-scaled deep point, row)}, and every (class,
+    depth) pair missing there is counted by one histogram pass, where each
+    class has a run of one query per depth.  A one-class pass and an
+    every-class pass give rows that differ only at beta = 0, which no
+    counting query reads, so a row cached by either serves every later
+    caller."""
+    caches = {c: g._cache.setdefault(("hist", c), {}) for c in depths}
+    todo = [(ck, c) for c in depths for ck in keys if ck not in caches[c]]
     if todo:
-        deeps = [g.deep_point(ck, depth).scaled() for ck in todo]
-        rows = series.sweep_histogram(g, list(zip(todo, deeps)))
-        cache.update(zip(todo, zip(deeps, rows)))
-    return ([_from_scaled(g, cache[ck][0]) for ck in keys],
-            np.array([cache[ck][1] for ck in keys]))
+        deeps = [g.deep_point(ck, c).scaled() for ck, c in todo]
+        rows = series.sweep_histogram(g, [(ck, x) for (ck, _), x in zip(todo, deeps)])
+        for (ck, c), x, row in zip(todo, deeps, rows):
+            caches[c][ck] = (x, row)
+    return [([_from_scaled(g, caches[c][ck][0]) for ck in keys],
+             np.array([caches[c][ck][1] for ck in keys])) for c in depths]
 
 
 def _check_depth(depth):
@@ -129,8 +132,7 @@ def _records(g, keys, depth):
     todo = [ck for ck in keys if ck not in recs]
     if todo:
         sides = []
-        for c in (depth, depth + 1):
-            xs, hists = sweep_hist(g, todo, c)
+        for xs, hists in sweep_hist(g, todo, (depth, depth + 1)):
             for x in xs:
                 _check_sum_region(g, x)
             sides.append([-q - quad_term(g, x)
@@ -145,8 +147,8 @@ def _records(g, keys, depth):
 
 
 def sw_table(g: PlumbingGraph, depth: int = DEFAULT_DEPTH, subset=()):
-    """SwRecord for every class, via one enumeration per depth for the
-    classes sweep_hist does not hold yet.
+    """SwRecord for every class, via one enumeration for the (class, depth)
+    pairs sweep_hist does not hold yet.
 
     With a subset, every class of each piece of T - subset is counted the
     same way first, at DEFAULT_DEPTH: the records component_term reads."""
@@ -380,7 +382,9 @@ def _counting_surgery(g, keys, subset, depths):
     full counts of every component of T - subset at the restricted point.
     Full and reduced counts come from sweep_hist, so classes whose records
     or identities were counted before are read back, and the rest take one
-    histogram pass per depth.
+    histogram pass for every depth.  The component counts stay one pass per
+    depth: the deep points of two depths can restrict to different classes
+    of a piece, and one pass over both would walk the piece untargeted.
     Returns {class_key: SurgeryReport}, raising IdentityViolation on the
     first failing class.
     """
@@ -390,8 +394,7 @@ def _counting_surgery(g, keys, subset, depths):
     subset = _nonempty(g, subset)
     forest = g.components_minus(subset)
     items = {ck: [] for ck in keys}
-    for depth in depths:
-        xs, hists = sweep_hist(g, keys, depth)
+    for depth, (xs, hists) in zip(depths, sweep_hist(g, keys, depths)):
         for ck, full, reduced, comp_vals in zip(
                 keys, series.hist_not_ge(hists, range(g.n)),
                 series.hist_not_ge(hists, subset), _component_counts(forest, xs)):

@@ -52,9 +52,9 @@ def walks(monkeypatch):
     seen = []
     enumerate_batches = series._iter_batches
 
-    def counted(g, envelope, target=None):
-        seen.append((g.ids, target is not None))
-        return enumerate_batches(g, envelope, target)
+    def counted(g, plan):
+        seen.append((g.ids, plan.target is not None))
+        return enumerate_batches(g, plan)
 
     monkeypatch.setattr(series, "_iter_batches", counted)
     return seen

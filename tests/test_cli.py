@@ -153,8 +153,8 @@ def test_surgery_counting_class_all_matches_single_classes(
     code, rep = run_json(argv + ["--class", "all"], capsys)
     assert code == 0 and rep["verified"] is True
     assert len(rep["reports"]) == 16
-    # the parent graph once per depth, untargeted, and never by one class
-    assert [w for w in walks if w[0] == ids] == [(ids, False)] * 2
+    # the parent graph once for both depths, untargeted, and never by one class
+    assert [w for w in walks if w[0] == ids] == [(ids, False)]
     for k in classes:
         code, one = run_json(argv + ["--class", "#%d" % k], capsys)
         assert code == 0
@@ -164,19 +164,19 @@ def test_surgery_counting_class_all_matches_single_classes(
 def test_sw_invariant_counts_its_one_class(corpus_dir, walks):
     g = load_graph(corpus_dir / "ex_graph1.pg")
     sw.sw_invariant(g, (0,) * g.n)
-    assert walks == [(g.ids, True)] * 2     # one targeted walk per depth
+    assert walks == [(g.ids, True)]     # one targeted walk for both depths
 
 
 def test_sw_class_all_asks_the_table_once(corpus_dir, capsys, walks):
     path = str(corpus_dir / "ex_graph2.pg")
     code, rep = run_json(["sw", "--graph", path, "--class", "all"], capsys)
     assert code == 0 and len(rep["invariants"]) == 16
-    assert walks == [(load_graph(path).ids, False)] * 2
+    assert walks == [(load_graph(path).ids, False)]
 
 
 def test_surgery_pc_class_all_asks_every_piece_once(corpus_dir, capsys, walks):
     # deleting the center leaves four one-vertex pieces: each is counted once
-    # per depth for all its classes, and every class then reads the cache
+    # for all its classes and both depths, and every class then reads the cache
     path = str(corpus_dir / "ex_graph2.pg")
     g = load_graph(path)
     code, rep = run_json(["surgery", "--graph", path, "--class", "all", "--subset", "c",
@@ -185,7 +185,7 @@ def test_surgery_pc_class_all_asks_every_piece_once(corpus_dir, capsys, walks):
     pieces = [comp.ids for comp, _ in g.components_minus([g.index["c"]])]
     assert len(pieces) == 4
     for ids in pieces:
-        assert walks.count((ids, False)) == 2
+        assert walks.count((ids, False)) == 1
         assert (ids, True) not in walks
 
 
@@ -198,7 +198,7 @@ def test_surgery_pc_class_all_on_many_vertices_reads_the_table(corpus_dir, capsy
                           "leaves", "--mode", "pc"], capsys)
     assert code == 0 and rep["verified"] is True and len(rep["reports"]) == 16
     assert {r["method"] for r in rep["reports"]} == {"prop1_conditional"}
-    assert [w for w in walks if w[0] == ids] == [(ids, False)] * 2
+    assert [w for w in walks if w[0] == ids] == [(ids, False)]
 
 
 @pytest.mark.parametrize("mode", ["red1", "red2"])

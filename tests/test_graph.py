@@ -12,6 +12,7 @@ from plumbsw import fixtures as fx
 from plumbsw.errors import (
     DuplicateVertex,
     InfeasibleQuery,
+    MethodPreconditionFailed,
     NotATree,
     NotInDualLattice,
     NotNegativeDefinite,
@@ -243,6 +244,21 @@ def test_dual_restrict_showcase_values(showcase1, showcase2):
     y = dual_restrict(r2, comp, origin)
     assert y.coords == (Fraction(-2, 3),)
     assert class_of(y).coords == (Fraction(1, 3),)
+
+
+def test_dual_restrict_reads_only_its_own_pieces():
+    # the pieces of D4 - {v3} are one-vertex -2 graphs; a vector of A4 (as
+    # many vertices) or a piece built apart from D4 is refused, not
+    # restricted through the pairing of the wrong graph
+    d4, a4 = fx.ade_graph("D4"), fx.ade_graph("A4")
+    comp, origin = next(iter(d4.components_minus([2])))
+    assert dual_restrict(d4.dual_vector(0), comp, origin).coords == (Fraction(1, 2),)
+    with pytest.raises(MethodPreconditionFailed):
+        dual_restrict(a4.dual_vector(0), comp, origin)
+    with pytest.raises(MethodPreconditionFailed):
+        dual_restrict(d4.dual_vector(0), fx.ade_graph("A1"), origin)
+    with pytest.raises(MethodPreconditionFailed):
+        dual_restrict(d4.dual_vector(0), comp, (1,))
 
 
 def test_dual_restrict_adjoint_and_linear(showcase1):

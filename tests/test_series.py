@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from plumbsw.series import (
     UnivariateTable,
     _class_step,
     _iter_batches,
+    _point_bound,
+    _walk_plan,
     coefficient,
     counting,
     hist_all_lt,
@@ -249,7 +252,7 @@ def test_support_terms_match_coefficient(showcase2):
               fx.showcase_two_nodes()):
         thr = g.vector([1] * g.n).scaled()
         seen = {}
-        for coords, z in _iter_batches(g, thr):
+        for coords, z in _iter_batches(g, _walk_plan(g, thr)):
             for row, zv in zip(coords.tolist(), z.tolist()):
                 if all(c >= t for c, t in zip(row, thr)):
                     continue
@@ -269,7 +272,7 @@ def test_enumeration_chunks_are_bounded():
     g = fx.ade_graph("A1")
     top = 10 ** 6
     sizes, total = [], 0
-    for coords, z in _iter_batches(g, [top]):
+    for coords, z in _iter_batches(g, _walk_plan(g, [top])):
         sizes.append(len(coords))
         total += int(z.sum())
     assert max(sizes) <= 1 << 16
@@ -366,7 +369,7 @@ def test_targeted_walk_skips_other_classes(monkeypatch):
 
     monkeypatch.setattr(series, "_iter_batches", counted)
     hist = single_histogram(g, zero, thr)
-    full = sum(len(coords) for coords, _ in walk(g, list(thr)))
+    full = sum(len(coords) for coords, _ in walk(g, _walk_plan(g, thr)))
     assert 0 < sum(yielded) * 50 < full
     assert hist[1:].any()
 
@@ -388,7 +391,55 @@ def test_class_step_is_untargeted_where_the_residue_could_wrap():
     # the targeted walk of the big string is the full walk: 1,000 points
     # below a bound on the first coordinate
     envelope = [1000] + [None] * (big.n - 1)
-    full = sorted(map(tuple, np.concatenate([c for c, _ in _iter_batches(big, envelope)])))
-    targeted = [c for c, _ in _iter_batches(big, envelope, zero)]
+    full = sorted(map(tuple, np.concatenate(
+        [c for c, _ in _iter_batches(big, _walk_plan(big, envelope))])))
+    targeted = [c for c, _ in _iter_batches(big, _walk_plan(big, envelope, zero))]
     assert len(full) == 1000
     assert sorted(map(tuple, np.concatenate(targeted))) == full
+
+
+def test_point_bound_knows_the_target_class(monkeypatch):
+    # the POINT_LIMIT check reads the walk's own plan: on ex_graph1's trivial
+    # class at depth 2, a vertex stepped by m counts ceil(values / m), which
+    # still bounds the 26,118 points the walk yields
+    g = fx.showcase_two_nodes()
+    zero = (0,) * g.n
+    thr = g.deep_point(zero, 2).scaled()
+    plan = _walk_plan(g, thr, zero)
+    # the untargeted plan has the same order and no steps
+    assert _walk_plan(g, thr).order == plan.order
+    assert _point_bound(g, _walk_plan(g, thr)) == 424_105_504
+    assert _point_bound(g, plan) == 2_608_992
+    assert sum(len(coords) for coords, _ in _iter_batches(g, plan)) == 26_118
+    monkeypatch.setattr(series, "POINT_LIMIT", 2_608_992)
+    assert single_histogram(g, zero, thr)[1:].any()
+    monkeypatch.setattr(series, "POINT_LIMIT", 2_608_991)
+    with pytest.raises(InfeasibleQuery):
+        single_histogram(g, zero, thr)
+
+
+ORDER_TREES = {"E7": lambda: fx.ade_graph("E7"), "ex_graph2": fx.showcase_star}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(source=st.integers(0, 2 ** 32), pick=st.integers(0, 10 ** 6))
+@example(source="E7", pick=1)
+@example(source="ex_graph2", pick=5)
+def test_walk_order_leaves_the_histograms_unchanged(source, pick):
+    # every order of the free vertices walks the same points, so the
+    # targeted and the untargeted histograms agree with the chosen order's
+    if isinstance(source, str):
+        g = ORDER_TREES[source]()
+    else:
+        g = fx.random_tree(random.Random(source), n_range=(4, 5), max_det=60,
+                           max_cost=200_000)
+    keys = g.classes().reps_scaled
+    key = keys[pick % len(keys)]
+    thr = g.deep_point(key, 1).scaled()
+    want = sweep_histogram(g, [(k, thr) for k in keys])[:, 1:]
+    free = _walk_plan(g, thr).order
+    for perm in itertools.permutations(free):
+        with mock.patch.object(series, "_free_order", lambda g, pairs: list(perm)):
+            assert _walk_plan(g, thr, key).order == list(perm)
+            assert (single_histogram(g, key, thr)[1:] == want[keys.index(key)]).all()
+            assert (sweep_histogram(g, [(k, thr) for k in keys])[:, 1:] == want).all()

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plumbsw import fixtures as fx
@@ -411,6 +412,7 @@ SUBSET_READERS = {
     "gorenstein_pc": lambda g, s: gorenstein_pc(g, s),
     "support_bound_report": lambda g, s: series.support_bound_report(g, s),
     "connected_closure": lambda g, s: connected_closure(g, s),
+    "components_minus": lambda g, s: g.components_minus(s),
 }
 
 
@@ -422,10 +424,12 @@ def test_vertex_outside_the_graph_is_refused(walks, reader, subset):
     assert walks == []
 
 
-@pytest.mark.parametrize("v", [4, -1])
+@pytest.mark.parametrize("v", [4, 9, -1])
 def test_univariate_vertex_outside_the_graph_is_refused(walks, v):
     with pytest.raises(MethodPreconditionFailed):
         sw_module.pc_univariate_fit(fx.ade_graph("D4"), (0,) * 4, v)
+    with pytest.raises(MethodPreconditionFailed):
+        sw_module.univariate_step(fx.ade_graph("D4"), v)
     assert walks == []
 
 
@@ -448,3 +452,24 @@ def test_vector_of_another_graph_is_refused(walks, reader):
         with pytest.raises(MethodPreconditionFailed):
             VECTOR_READERS[reader](g, x)
     assert walks == []
+
+
+def test_counting_surgery_walks_a_small_frontier(monkeypatch):
+    # criterion 4's det-1269 tree, trivial class, vertex 0 deleted: one walk
+    # of T for both depths, its free vertices ordered by the point bound.
+    # Counted in rows handed to the vertex factor, the walks of T and of
+    # its pieces expanded 174,836 rows with one walk per depth and the
+    # nodes-first order; half of that is the ceiling here.
+    g = fx.random_trees(seed=4242, count=50, n_range=(3, 7), max_cost=50_000_000)[12]
+    assert g.det == 1269
+    rows = []
+    factor = series._vertex_factor
+
+    def counted(dv, a):
+        if isinstance(a, np.ndarray):
+            rows.append(len(a))
+        return factor(dv, a)
+
+    monkeypatch.setattr(series, "_vertex_factor", counted)
+    assert verify_counting_surgery(g, (0,) * g.n, (0,)).equal
+    assert 0 < sum(rows) <= 174_836 // 2

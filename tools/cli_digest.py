@@ -15,14 +15,16 @@ class, for ``#0`` at depth 2 and for the manifest class; ``pc`` in three
 methods for two classes, plus ``--class all`` in closed form on the nodes;
 ``surgery`` in four modes over three subsets for two classes, plus
 ``--class all`` in counting mode per subset, in the ``pc``, ``red1`` and
-``red2`` modes on the nodes and in the ``pc`` mode on the leaves;
+``red2`` modes on the nodes and in the ``pc`` mode on the leaves, plus
+``#0`` in counting mode on the first vertex at depths 1, 2 and 3 (three
+depths of one walk);
 ``gorenstein`` on two subsets; ``count`` in three modes; ``coeff``.  Then
 usage errors on ``a2``, two over-long thresholds on ``a1`` (one that
 would overflow int64 and one that asks for about 10^15 points), and two
 malformed inputs: an exponent with a zero denominator and a JSON graph
 whose vertex has no Euler number.  An exception that escapes ``cli.run`` is
 recorded as exit 1, the interpreter's code for it, with its type hashed
-after the output.  The 778 commands take about 65 s on one core, most of it
+after the output.  The 794 commands take about 65 s on one core, most of it
 on ``ex_graph1``.
 """
 
@@ -79,6 +81,8 @@ def commands(corpus):
                     out.append(["surgery"] + g + ["--class", cls, "--subset", subset,
                                                   "--mode", mode])
             out.append(["surgery"] + g + ["--class", "all", "--subset", subset])
+        out.append(["surgery"] + g + ["--class", "#0", "--subset", first,
+                                      "--mode", "counting", "--depth", "1,2,3"])
         for subset in ("all", "leaves"):
             out.append(["gorenstein"] + g + ["--subset", subset])
         for mode in ("full", "reduced", "modified"):

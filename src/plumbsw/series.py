@@ -15,7 +15,6 @@ so nothing here is approximate.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -155,9 +154,9 @@ class WalkPlan(NamedTuple):
 def _walk_plan(g: PlumbingGraph, envelope, target=None) -> WalkPlan:
     """The plan of the walk below an envelope towards a class key (or None).
 
-    envelope: per-coordinate strict upper bounds in d-scaled units, or None
-    for untracked coordinates."""
-    pairs = [(w, top) for w, top in enumerate(envelope) if top is not None and top > 0]
+    envelope: per-coordinate strict upper bounds in d-scaled units; entries
+    of 0 or less bound nothing."""
+    pairs = [(w, top) for w, top in enumerate(envelope) if top > 0]
     order = _free_order(g, pairs) if pairs else []      # no point lies below no pair
     steps = [_class_step(g, v, order[i + 1:], target) for i, v in enumerate(order)]
     return WalkPlan(pairs, order, steps, target)
@@ -231,51 +230,50 @@ def _iter_batches(g: PlumbingGraph, plan: WalkPlan):
             stack.append(windows(len(stack), *batch))
 
 
+def _walk(g: PlumbingGraph, thresholds, target=None):
+    """The batches of _iter_batches below the envelope (coordinatewise max)
+    of the d-scaled threshold vectors, towards a class key or None.
+
+    The one entry to the walk.  It refuses with InfeasibleQuery, before any
+    array is built, thresholds whose largest |entry| could carry coordinates
+    past int64, and walks whose point bound exceeds POINT_LIMIT."""
+    top = max(max(map(abs, t)) for t in thresholds)
+    if g.n * top * max(map(max, g.dual_scaled)) >= 2 ** 62:
+        raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
+    plan = _walk_plan(g, [max(c) for c in zip(*thresholds)], target)
+    bound = _point_bound(g, plan)
+    if bound > POINT_LIMIT:
+        raise InfeasibleQuery("threshold too large: up to %d support points to enumerate, "
+                              "more than %d" % (bound, POINT_LIMIT))
+    return _iter_batches(g, plan)
+
+
 class SupportStore:
-    """Materialized support points below an envelope, bucketed by class.
+    """Materialized support points below an envelope (a threshold vector).
 
     No counting route uses it: it is the materialize-then-filter reference
-    that the streamed sweep is checked against.
+    that the streamed sweep is checked against.  coords holds the walked
+    points (d-scaled, one row each) and z their coefficients; a query
+    filters them by class and threshold, and is refused where its
+    threshold passes the envelope on its subset.
     """
 
     def __init__(self, g: PlumbingGraph, envelope):
         self.g = g
         self.envelope = list(envelope)
-        chunks = []
-        zchunks = []
-        for coords, z in _iter_batches(g, _walk_plan(g, envelope)):
-            chunks.append(coords)
-            zchunks.append(z)
-        self.buckets = {}
-        if not chunks:
-            return
-        coords = np.concatenate(chunks, axis=0)
-        zvals = np.concatenate(zchunks)
-        mods = coords % g.det
-        uniq, inverse = np.unique(mods, axis=0, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        sorted_inv = inverse[order]
-        starts = np.searchsorted(sorted_inv, np.arange(len(uniq)))
-        ends = np.append(starts[1:], len(sorted_inv))
-        for i, row in enumerate(uniq):
-            idx = order[starts[i]:ends[i]]
-            self.buckets[tuple(int(c) for c in row)] = (coords[idx], zvals[idx])
-
-    def _check(self, thr, subset):
-        for w in subset:
-            if self.envelope[w] is None or thr[w] > self.envelope[w]:
-                raise PlumbingError("query threshold exceeds store envelope")
+        batches = [(np.zeros((0, g.n), dtype=np.int64), np.zeros(0, dtype=np.int64))]
+        batches += _walk(g, [envelope])
+        self.coords, self.z = map(np.concatenate, zip(*batches))
 
     def sum_not_ge(self, class_key, thr, subset) -> int:
         """Sum of coefficients over the class with coord_w < thr_w somewhere on subset."""
-        self._check(thr, subset)
-        got = self.buckets.get(tuple(class_key))
-        if got is None:
-            return 0
-        coords, z = got
         cols = list(subset)
-        mask = (coords[:, cols] < np.array([thr[w] for w in cols], dtype=np.int64)).any(axis=1)
-        return int(z[mask].sum())
+        if any(thr[w] > self.envelope[w] for w in cols):
+            raise PlumbingError("query threshold exceeds store envelope")
+        mask = ((self.coords % self.g.det == np.array(class_key, dtype=np.int64)).all(axis=1)
+                & (self.coords[:, cols] < np.array([thr[w] for w in cols], dtype=np.int64))
+                .any(axis=1))
+        return int(self.z[mask].sum())
 
 
 def single_histogram(g: PlumbingGraph, class_key, thr):
@@ -294,19 +292,11 @@ def sweep_histogram(g: PlumbingGraph, queries):
     envelope, and no counting query reads it.  Rows are in query order.
     """
     n, d = g.n, g.det
-    top = max(max(map(abs, t)) for _, t in queries)
-    if n * top * max(map(max, g.dual_scaled)) >= 2 ** 62:
-        raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
     keys = np.array([k for k, _ in queries], dtype=np.int64)
-    thr = np.array([t for _, t in queries], dtype=np.int64)
     # queries of one class let the enumeration skip the other classes
     target = tuple(keys[0].tolist()) if (keys == keys[0]).all() else None
-    envelope = [int(e) if e > 0 else None for e in thr.max(axis=0)]
-    plan = _walk_plan(g, envelope, target)
-    bound = _point_bound(g, plan)
-    if bound > POINT_LIMIT:
-        raise InfeasibleQuery("threshold too large: up to %d support points to enumerate, "
-                              "more than %d" % (bound, POINT_LIMIT))
+    batches = _walk(g, [t for _, t in queries], target)
+    thr = np.array([t for _, t in queries], dtype=np.int64)
     # lexicographic order, first coordinate most significant, so the queries
     # of one class form one run [lo, hi)
     order = np.lexsort(keys.T[::-1])
@@ -340,7 +330,7 @@ def sweep_histogram(g: PlumbingGraph, queries):
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = 1 << np.arange(n, dtype=np.int64)
-    for coords, z in _iter_batches(g, plan):
+    for coords, z in batches:
         lo, hi = runs_of(coords % d)
         # points of unqueried classes have empty runs and drop out first;
         # then each pass tallies every point at the next query of its run
@@ -494,20 +484,20 @@ class UnivariateTable:
 class SupportBoundReport:
     subgraph: tuple
     checked: int
-    skipped_incomplete: int
     boundary_checked: tuple
     boundary_skipped: tuple
 
 
-def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundReport:
-    """Verify the degree bound on the support of the reduced series.
+def support_bound_report(g: PlumbingGraph, v2, x: LatticeVector) -> SupportBoundReport:
+    """Verify the degree bound on the support of the reduced series below x.
 
-    Enumerates the sum-of-coefficients fibers of the projection onto the
-    connected full subgraph on v2, keeps the fibers that are provably
-    complete within the enumeration window, and checks that every nonzero
-    one decomposes uniquely and nonnegatively over the restricted dual
-    basis, with the boundary-degree bound at boundary vertices whose
-    inner valency is at least 2.
+    Sums the coefficients over each fiber of the projection onto the
+    connected full subgraph on v2 whose coordinates on v2 all lie below
+    x's.  The walk below x on v2 yields every point of such a fiber, so
+    each fiber is complete.  Checks that every nonzero one decomposes
+    uniquely and nonnegatively over the restricted dual basis, with the
+    boundary-degree bound at boundary vertices whose inner valency is at
+    least 2.
     """
     v2 = list(g.vertices(v2))
     if not v2 or connected_closure(g, v2) != v2:
@@ -517,36 +507,17 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
     boundary = [u for u in v2 if any(w in set(outside) for w in g.adj[u])]
     delta2 = {u: sum(1 for w in g.adj[u] if w in set(v2)) for u in boundary}
 
-    caps = []
-    for v in range(n):
-        dv = g.delta[v]
-        if dv == 2:
-            caps.append(0)
-        elif dv >= 3:
-            caps.append(dv - 2)
-        else:
-            caps.append(depth)
-    # accumulate projected fibers
+    # coefficient sums of the walked points below x on all of v2, by projection
+    xs = g.scaled_of(x)
+    batches = _walk(g, [[xs[w] if w in v2 else 0 for w in range(n)]])
+    top = np.array([xs[w] for w in v2], dtype=np.int64)
     fibers = {}
+    for coords, z in batches:
+        proj = coords[:, v2]
+        below = (proj < top).all(axis=1)
+        for key, zv in zip(map(tuple, proj[below].tolist()), z[below].tolist()):
+            fibers[key] = fibers.get(key, 0) + zv
     cols = g.dual_scaled
-    for a in itertools.product(*[range(c + 1) for c in caps]):
-        z = 1
-        for dv, av in zip(g.delta, a):
-            z *= _vertex_factor(dv, av)
-        proj = tuple(sum(a[v] * cols[v][w] for v in range(n)) for w in v2)
-        fibers[proj] = fibers.get(proj, 0) + z
-
-    # completeness: within a fiber every free coordinate is forced below
-    # proj_w / (E*_v)_w, so the window caught the whole fiber iff those
-    # bounds stay inside it
-    def complete(proj):
-        for v in range(n):
-            if g.delta[v] > 1:
-                continue
-            b = min(proj[i] // cols[v][w] for i, w in enumerate(v2))
-            if b > depth:
-                return False
-        return True
 
     # restricted dual-basis matrix, d-scaled: columns d E*_v|_{v2}, v in v2.
     # It is a principal block of d (-I)^{-1}, so positive definite.
@@ -564,7 +535,7 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
                 members.update(origin)
         v1[u] = sorted(members)
 
-    checked = skipped = 0
+    checked = 0
     gates_checked, gates_skipped = [], []
     for u in boundary:
         if delta2[u] >= 2:
@@ -574,9 +545,6 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
 
     for proj, zsum in sorted(fibers.items()):
         if zsum == 0:
-            continue
-        if not complete(proj):
-            skipped += 1
             continue
         # decomposition coefficients r = (d M2)^{-1} proj = r_num / det2
         r_num = [sum(a * p for a, p in zip(row, proj)) for row in adj2]
@@ -596,7 +564,6 @@ def support_bound_report(g: PlumbingGraph, v2, depth: int = 10) -> SupportBoundR
     return SupportBoundReport(
         subgraph=tuple(g.ids[v] for v in v2),
         checked=checked,
-        skipped_incomplete=skipped,
         boundary_checked=tuple(gates_checked),
         boundary_skipped=tuple(gates_skipped),
     )

@@ -13,18 +13,49 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "plumbsw")
 
 
+def _package_trees():
+    """(file name, parsed module) for every module of the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=path)
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert statements; guards must raise typed errors
     found = []
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _uses(node, name, scope):
+    """(scope, node kind) of every Name, Attribute or import naming name below
+    node, scope the dotted path of the enclosing functions and classes."""
+    for child in ast.iter_child_nodes(node):
+        if (getattr(child, "id", None) == name or getattr(child, "attr", None) == name
+                or isinstance(child, ast.alias) and child.name == name):
+            yield scope, type(child).__name__
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + "." + child.name
+        yield from _uses(child, name, inner)
+
+
+def test_every_walk_passes_the_guards():
+    # the int64 and POINT_LIMIT refusals sit in series._walk, so it must be
+    # the only reader of the enumerator.  It looks the enumerator up by its
+    # module-global name, so a patched series._iter_batches sees every walk,
+    # and it is a plain function, so it refuses when called, before any work
+    found = [use for name, tree in _package_trees()
+             for use in _uses(tree, "_iter_batches", name[:-3])]
+    assert found == [("series._walk", "Name")]
+    series = dict(_package_trees())["series.py"]
+    walk = next(node for node in series.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_walk")
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(walk))
 
 
 def _resolve(mod_name, path):

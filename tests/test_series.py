@@ -64,9 +64,21 @@ def test_coefficient_requires_dual_lattice(a2):
 
 def test_support_is_strictly_positive_or_zero(showcase2):
     store = SupportStore(showcase2, [24] * showcase2.n)
-    for key, (coords, z) in store.buckets.items():
-        nz = z != 0
-        assert ((coords[nz] > 0).all(axis=1) | (coords[nz] == 0).all(axis=1)).all()
+    nz = store.z != 0
+    assert nz.any()
+    assert ((store.coords[nz] > 0).all(axis=1) | (store.coords[nz] == 0).all(axis=1)).all()
+
+
+def test_support_store_refuses_queries_past_its_envelope(showcase2):
+    g = showcase2
+    store = SupportStore(g, [24] * g.n)
+    zero = (0,) * g.n
+    assert store.sum_not_ge(zero, [24] * g.n, [0, 1]) > 0
+    # the store holds no point with coordinate 24 or more: a query reaching
+    # past the envelope on its subset would quietly undercount
+    with pytest.raises(PlumbingError):
+        store.sum_not_ge(zero, [25] + [24] * (g.n - 1), [0, 1])
+    assert store.sum_not_ge(zero, [24] + [25] * (g.n - 1), [0]) > 0
 
 
 def test_counting_trivial_cases(single3, showcase2):
@@ -143,10 +155,15 @@ def test_overlong_threshold_raises_before_enumeration(a2, monkeypatch):
         raise AssertionError("the enumeration ran")
 
     monkeypatch.setattr(series, "_iter_batches", walk)
-    # 10^23 would leave int64; 10^15 fits, but asks for about 10^30 points
+    # 10^23 would leave int64; 10^15 fits, but asks for about 10^30 points.
+    # Every entry to the walk refuses, whatever its threshold reads.
     for c in (10 ** 23, -10 ** 23, 10 ** 15):
         with pytest.raises(InfeasibleQuery):
             counting(a2, "full", a2.vector([c, 0]))
+        with pytest.raises(InfeasibleQuery):
+            support_bound_report(a2, [0, 1], a2.vector([c, 0]))
+        with pytest.raises(InfeasibleQuery):
+            SupportStore(a2, [c, 0])
 
 
 def test_query_validation(showcase2):
@@ -211,37 +228,61 @@ def test_univariate_table_single_vertex(single3):
 
 
 def test_support_bound_report_full_graph_is_trivial(showcase1):
-    rep = support_bound_report(showcase1, range(showcase1.n), depth=4)
+    g = showcase1
+    rep = support_bound_report(g, range(g.n), g.vector([1] * g.n))
     assert not rep.boundary_checked
 
 
 def test_support_bound_report_showcase_middle(showcase1):
     # the spine alone: both boundary vertices have inner valency 1, so the
     # degree bound is vacuous there but the unique nonnegative decomposition
-    # still gets checked on every complete fiber
-    rep = support_bound_report(showcase1, [0, 1, 2], depth=10)
+    # still gets checked on every fiber below the threshold
+    g = showcase1
+    rep = support_bound_report(g, [0, 1, 2], g.vector([4] * g.n))
     assert set(rep.boundary_skipped) == {"s1", "s3"}
-    assert rep.checked > 0
+    assert rep.checked >= 88
 
 
 def test_support_bound_report_inner_valency_two(showcase1):
     # adding one leaf makes the left node's inner valency 2: bound applies
-    rep = support_bound_report(showcase1, [0, 1, 2, 3], depth=8)
+    g = showcase1
+    rep = support_bound_report(g, [0, 1, 2, 3], g.vector([4] * g.n))
     assert "s1" in rep.boundary_checked
     assert "s3" in rep.boundary_skipped
-    assert rep.checked > 0
+    assert rep.checked >= 187
 
 
 def test_support_bound_report_gates_low_inner_valency():
     g = fx.string_graph([-2, -3, -2])
-    rep = support_bound_report(g, [1], depth=8)
+    rep = support_bound_report(g, [1], g.vector([3] * g.n))
     assert rep.boundary_checked == ()
     assert set(rep.boundary_skipped) == {"v2"}
+    assert rep.checked >= 9
 
 
 def test_support_bound_report_rejects_disconnected(showcase1):
     with pytest.raises(PlumbingError):
-        support_bound_report(showcase1, [3, 5], depth=3)
+        support_bound_report(showcase1, [3, 5], showcase1.vector([1] * showcase1.n))
+
+
+@pytest.mark.parametrize("v2, checked", [((0, 1, 2), 28), ((0, 1, 2, 3), 77), ((1,), 8)])
+def test_support_bound_report_checks_every_fiber_below_x(showcase1, v2, checked):
+    # the report checks one fiber per nonzero coefficient sum of the
+    # product-expansion oracle over the points whose every v2 coordinate
+    # lies below x = (2, ..., 2); a free coordinate of such a point stays
+    # below ceil(x_w / (d E*_v)_w) for each w in v2, which sizes the window
+    g = showcase1
+    xs = g.vector([2] * g.n).scaled()
+    cols = g.dual_scaled
+    depth = max(min(-(-xs[w] // cols[v][w]) for w in v2)
+                for v in range(g.n) if g.delta[v] <= 1)
+    fibers = {}
+    for a, z in brute_series(g, depth).items():
+        proj = tuple(sum(a[v] * cols[v][w] for v in range(g.n)) for w in v2)
+        if all(p < xs[w] for p, w in zip(proj, v2)):
+            fibers[proj] = fibers.get(proj, 0) + z
+    assert sum(1 for z in fibers.values() if z) == checked
+    assert support_bound_report(g, v2, g.vector([2] * g.n)).checked == checked
 
 
 def test_support_terms_match_coefficient(showcase2):
@@ -390,7 +431,7 @@ def test_class_step_is_untargeted_where_the_residue_could_wrap():
     assert _class_step(small, 0, [], None) is None
     # the targeted walk of the big string is the full walk: 1,000 points
     # below a bound on the first coordinate
-    envelope = [1000] + [None] * (big.n - 1)
+    envelope = [1000] + [0] * (big.n - 1)
     full = sorted(map(tuple, np.concatenate(
         [c for c, _ in _iter_batches(big, _walk_plan(big, envelope))])))
     targeted = [c for c, _ in _iter_batches(big, _walk_plan(big, envelope, zero))]

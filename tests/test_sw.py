@@ -410,7 +410,7 @@ SUBSET_READERS = {
     "verify_pc_surgery": lambda g, s: verify_pc_surgery(g, (0,) * 4, s),
     "red2": lambda g, s: reduction_rational(g, (0,) * 4, s, "red2"),
     "gorenstein_pc": lambda g, s: gorenstein_pc(g, s),
-    "support_bound_report": lambda g, s: series.support_bound_report(g, s),
+    "support_bound_report": lambda g, s: series.support_bound_report(g, s, g.vector([1] * 4)),
     "connected_closure": lambda g, s: connected_closure(g, s),
     "components_minus": lambda g, s: g.components_minus(s),
 }

@@ -23,13 +23,10 @@ from .graph import (
     fraction_text,
     is_rational,
     load_graph,
+    vector_text,
 )
 
 SCHEMA = 1
-
-
-def _vec(x: LatticeVector):
-    return [str(c) for c in x.coords]
 
 
 def _parse_vector(g, text) -> LatticeVector:
@@ -107,12 +104,12 @@ def _cmd_validate(args):
 
 def _cmd_info(args):
     g = load_graph(args.graph)
-    dual = [[str(c) for c in g.dual_vector(v).coords] for v in range(g.n)]
+    dual = [vector_text(g.dual_vector(v)) for v in range(g.n)]
     return {
         "vertices": list(g.ids),
         "det": g.det,
-        "canonical_cycle": _vec(g.K),
-        "anticanonical_cycle": _vec(g.ZK),
+        "canonical_cycle": vector_text(g.K),
+        "anticanonical_cycle": vector_text(g.ZK),
         "numerically_gorenstein": g.numerically_gorenstein,
         "rational": is_rational(g),
         "nodes": [g.ids[v] for v in g.nodes],
@@ -124,7 +121,7 @@ def _cmd_info(args):
 def _cmd_coeff(args):
     g = load_graph(args.graph)
     x = _parse_vector(g, args.exponent)
-    return {"exponent": _vec(x), "coefficient": series.coefficient(g, x)}
+    return {"exponent": vector_text(x), "coefficient": series.coefficient(g, x)}
 
 
 def _cmd_count(args):
@@ -134,9 +131,9 @@ def _cmd_count(args):
     value = series.counting(g, args.mode, x, subset)
     return {
         "mode": args.mode,
-        "threshold": _vec(x),
+        "threshold": vector_text(x),
         "subset": [g.ids[v] for v in subset],
-        "class": _vec(class_of(x)),
+        "class": vector_text(class_of(x)),
         "value": value,
     }
 
@@ -144,12 +141,11 @@ def _cmd_count(args):
 def _cmd_sw(args):
     g = load_graph(args.graph)
     if args.class_sel == "all":
-        sw.sw_table(g, args.depth)      # one enumeration for every class
-    out = []
-    for ck in _parse_classes(g, args.class_sel, args.graph):
-        rec = sw.sw_invariant(g, ck, depth=args.depth)
-        out.append(rec.as_dict())
-    return {"invariants": out}
+        recs = sw.sw_table(g, args.depth).values()      # one enumeration for every class
+    else:
+        recs = [sw.sw_invariant(g, ck, depth=args.depth)
+                for ck in _parse_classes(g, args.class_sel, args.graph)]
+    return {"invariants": [rec.as_dict() for rec in recs]}
 
 
 def _cmd_pc(args):
@@ -161,7 +157,7 @@ def _cmd_pc(args):
     for ck in _parse_classes(g, args.class_sel, args.graph):
         val = sw.pc_reduced(g, ck, subset, method=args.method)
         out.append({
-            "class": _vec(g.rep_from_key(ck)),
+            "class": vector_text(g.rep_from_key(ck)),
             "subset": [g.ids[v] for v in subset],
             "method": args.method,
             "pc": fraction_text(val),

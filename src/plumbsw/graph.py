@@ -79,6 +79,32 @@ def fraction_text(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def vector_text(x):
+    """The coordinates of a vector as exact rational text, one string each:
+    "p/q", or "p" for an integer."""
+    return [str(c) for c in x.coords]
+
+
+def int_dtype(bound):
+    """np.int64 for array work whose every value stays below bound in
+    absolute value, when bound is below 2^63; object (Python ints) else."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def int_rows(rows):
+    """Rows of integers as a 2-d array: int64 where every entry fits, else an
+    object array of Python ints."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _absmax(a):
+    """The largest absolute value in an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min()), 0) if a.size else 0
+
+
 def _whole(values, d):
     """d-scaled coordinates as a tuple of ints; each must be a whole number."""
     out = []
@@ -267,6 +293,10 @@ class PlumbingGraph:
         self._k = kc
         self.numerically_gorenstein = not any(c % d for c in kc)
         self.nodes = tuple(v for v in range(self.n) if self.delta[v] >= 3)
+        # bounds for array work: |I x| <= width max|x|, and max d E*_v entry
+        self.width = max(sum(map(abs, row)) for row in self.matrix)
+        self.dual_max = max(map(max, self.dual_scaled))
+        self._int64 = None
         self._class_table = None
         self._cache = {}
 
@@ -413,27 +443,79 @@ class PlumbingGraph:
 
     # -- Laufer-style iterations ----------------------------------------------
 
-    def laufer(self, start, demands):
-        """Minimal x >= start with x = start mod L and (x, E_v) <= -demands[v].
+    def int_arrays(self, dtype):
+        """(I, d E*) as numpy arrays of dtype (np.int64 or object), row v of
+        the second being d E*_v; the int64 pair is built once and kept
+        read-only on the graph."""
+        if dtype is object:
+            return np.array(self.matrix, dtype=object), np.array(self.dual_scaled, dtype=object)
+        if self._int64 is None:
+            self._int64 = tuple(np.array(a, dtype=np.int64) for a in (self.matrix, self.dual_scaled))
+            for a in self._int64:
+                a.flags.writeable = False
+        return self._int64
 
-        Generalized Laufer loop: repeatedly add E_v at a violated vertex.
-        Termination is guaranteed by negative definiteness; the cap converts
-        bugs into diagnostics instead of hangs.
+    def laufer_rows(self, starts, demands):
+        """For each row of starts (d-scaled coordinates, shape (k, n)), the
+        minimal x >= start with x = start mod L and (x, E_v) <= -demands[v];
+        one demand vector serves every row.  Returns the (k, n) array of the
+        d-scaled points, int64 or object as below.
+
+        Generalized Laufer loop, run on every violated (row, v) at once.  The
+        feasible set of a row is closed under coordinatewise min, because the
+        off-diagonal entries of I are nonnegative, so it has one minimal
+        element x_min.  If x <= x_min and (x, E_v) > -demands[v], then
+        x_v < x_min_v, since x_v = x_min_v would give (x_min, E_v) >= (x, E_v);
+        so x + E_v <= x_min.  That holds for each violated v on its own, so
+        adding E_v at all of them in one pass never passes x_min, and the
+        loop stops at x_min.  It starts higher than start: every feasible x
+        has -I x >= demands, so x >= x* = sum_v demands[v] E*_v, the entries
+        of (-I)^-1 being positive, and the least point above both start and
+        x* in the class of start lies below x_min too.
+
+        dtype: y = start + sum_v c_v (d E*_v), with
+        c_v = max(0, ceil(((start, E_v) + demands[v]) / d)), is feasible and
+        in the class of start, so x_min <= y and every x of the loop lies
+        between start and y.  Where a bound on |y|, on x*, or on the pairings
+        and steps of points up to y could pass int64, the loop runs the same
+        way on Python ints (object arrays).  A row that needs LAUFER_CAP unit
+        steps or more from start is refused, as the one-vertex loop refused
+        it, which converts bugs into diagnostics instead of hangs.
         """
-        d = self.det
-        x = list(self.scaled_of(start))
-        # q_v = d * (x, E_v), maintained incrementally
-        q = [self.eulers[v] * x[v] + sum(x[w] for w in self.adj[v]) for v in range(self.n)]
-        lim = [-d * int(t) for t in demands]
+        n, d = self.n, self.det
+        x = int_rows(starts)
+        if not x.size:
+            return x.reshape(0, n)
+        dem = [int(t) for t in demands]
+        s_max, dem_max = _absmax(x), max(map(abs, dem))
+        # c_v <= (s_max width + d dem_max) / d^2 + 1, so |y| <= reach
+        reach = s_max + n * ((s_max * self.width + d * dem_max) // (d * d) + 1) * self.dual_max
+        dt = int_dtype(max(reach, d) * (self.width + 2 * n) + d * dem_max
+                       + n * dem_max * self.dual_max)
+        m, dual = self.int_arrays(dt)
+        x = x.astype(dt, copy=False)
+        start = x.copy()
+        dem = np.array(dem, dtype=dt)
+        x += d * np.maximum((dem @ dual - x + (d - 1)) // d, 0)
+        q = x @ m                                       # d (x, E_v)
+        lim = -d * dem
         for _ in range(LAUFER_CAP):
-            v = next((v for v in range(self.n) if q[v] > lim[v]), None)
-            if v is None:
-                return _from_scaled(self, tuple(x))
-            x[v] += d
-            q[v] += d * self.eulers[v]
-            for w in self.adj[v]:
-                q[w] += d
-        raise IterationCapExceeded("Laufer iteration exceeded %d steps" % LAUFER_CAP)
+            up = q > lim
+            if not up.any():
+                break
+            step = d * up.astype(dt)
+            x += step
+            q += step @ m
+        # a row still moving after LAUFER_CAP passes moved in every one of them
+        if ((x - start).sum(axis=1) // d >= LAUFER_CAP).any():
+            raise IterationCapExceeded("Laufer iteration exceeded %d steps" % LAUFER_CAP)
+        return x
+
+    def laufer(self, start, demands):
+        """Minimal x >= start with x = start mod L and (x, E_v) <= -demands[v]:
+        one row of laufer_rows."""
+        x = self.laufer_rows([self.scaled_of(start)], demands)[0]
+        return _from_scaled(self, tuple(x.tolist()))
 
     def fundamental_cycle(self):
         if "zmin" not in self._cache:
@@ -529,6 +611,17 @@ def class_of(x: LatticeVector) -> LatticeVector:
     return x.graph.rep_from_key(x.graph.class_key(x))
 
 
+def minimal_s_rows(g: PlumbingGraph, keys):
+    """s_h for each row of class keys r_h, as a d-scaled (k, n) array: the
+    Laufer point of r_h at zero demands.  Each s_h - r_h must be an effective
+    integral cycle."""
+    r = int_rows(keys)
+    s = g.laufer_rows(r, [0] * g.n)
+    if (s < r).any() or ((s - r) % g.det).any():
+        raise InternalDisagreement("s_h - r_h is not an effective integral cycle")
+    return s
+
+
 def minimal_s_rep(g: PlumbingGraph, h):
     """Minimal element s_h of the Lipman cone in the class of h.
 
@@ -536,11 +629,8 @@ def minimal_s_rep(g: PlumbingGraph, h):
     an effective integral cycle.
     """
     r = g.rep_from_key(g.class_key(h))
-    s = g.laufer(r, [0] * g.n)
-    delta = s - r
-    if not (delta.is_integral() and delta >= g.zero()):
-        raise InternalDisagreement("s_h - r_h is not an effective integral cycle")
-    return s, delta
+    s = _from_scaled(g, tuple(minimal_s_rows(g, [r.scaled()])[0].tolist()))
+    return s, s - r
 
 
 def dual_restrict(x: LatticeVector, comp: PlumbingGraph, origin) -> LatticeVector:

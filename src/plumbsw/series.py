@@ -99,6 +99,21 @@ def _point_bound(g, plan):
     return sum(total)
 
 
+def _coefficient_bound(g, plan):
+    """Upper bound on |z| at the points a walk by plan yields: the product
+    over its free vertices of the largest |_vertex_factor| over the values
+    below their largest _value_counts (a + 1 at an isolated vertex, 1 at an
+    end, the binomial nearest the middle that a node reaches)."""
+    z = 1
+    for v in plan.order:
+        dv, top = g.delta[v], max(_value_counts(g, v, plan.pairs))
+        if dv == 0:
+            z *= top
+        elif dv >= 3:
+            z *= math.comb(dv - 2, min(top - 1, (dv - 2) // 2))
+    return z
+
+
 def _free_order(g, pairs):
     """The vertices with a free dual coordinate (valency not 2) in walk
     order, filled from the back: each position goes to the vertex whose
@@ -236,15 +251,22 @@ def _walk(g: PlumbingGraph, thresholds, target=None):
 
     The one entry to the walk.  It refuses with InfeasibleQuery, before any
     array is built, thresholds whose largest |entry| could carry coordinates
-    past int64, and walks whose point bound exceeds POINT_LIMIT."""
+    past int64, walks whose point bound exceeds POINT_LIMIT, and walks whose
+    point bound times _coefficient_bound could carry a coefficient or a
+    histogram sum past int64."""
     top = max(max(map(abs, t)) for t in thresholds)
-    if g.n * top * max(map(max, g.dual_scaled)) >= 2 ** 62:
+    if g.n * top * g.dual_max >= 2 ** 62:
         raise InfeasibleQuery("threshold too large: coordinates would overflow int64")
     plan = _walk_plan(g, [max(c) for c in zip(*thresholds)], target)
     bound = _point_bound(g, plan)
     if bound > POINT_LIMIT:
         raise InfeasibleQuery("threshold too large: up to %d support points to enumerate, "
                               "more than %d" % (bound, POINT_LIMIT))
+    # every coefficient, and every histogram sum of them, is at most this
+    zsum = bound * _coefficient_bound(g, plan)
+    if zsum >= 2 ** 63:
+        raise InfeasibleQuery("threshold too large: coefficient sums up to %d would overflow "
+                              "int64" % zsum)
     return _iter_batches(g, plan)
 
 

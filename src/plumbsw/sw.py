@@ -35,11 +35,16 @@ from .errors import (
 from .graph import (
     LatticeVector,
     PlumbingGraph,
+    _absmax,
     _from_scaled,
     dual_restrict,
     fraction_text,
+    int_dtype,
+    int_rows,
     is_rational,
     minimal_s_rep,
+    minimal_s_rows,
+    vector_text,
 )
 from . import series
 
@@ -70,7 +75,7 @@ class SwRecord:
 
     def as_dict(self):
         return {
-            "class": [str(c) for c in self.rep.coords],
+            "class": vector_text(self.rep),
             "sw": fraction_text(self.sw),
             "normalized_r": fraction_text(self.normalized_r),
             "normalized_s": fraction_text(self.normalized_s),
@@ -80,21 +85,24 @@ class SwRecord:
 
 def sweep_hist(g, keys, depths):
     """Deep points of the classes and their histogram rows at each depth: one
-    (points, rows array) pair per depth, in key order.  Both live in one dict
-    per depth, {class key: (d-scaled deep point, row)}, and every (class,
-    depth) pair missing there is counted by one histogram pass, where each
-    class has a run of one query per depth.  A one-class pass and an
-    every-class pass give rows that differ only at beta = 0, which no
-    counting query reads, so a row cached by either serves every later
-    caller."""
+    (points, rows) pair of arrays per depth, in key order, the points
+    d-scaled (see int_rows).  Both live in one dict per depth, {class key:
+    (d-scaled deep point, row)}.  The deep points missing at one depth come
+    from one laufer_rows call, and every (class, depth) pair missing there is
+    counted by one histogram pass, where each class has a run of one query
+    per depth.  A one-class pass and an every-class pass give rows that
+    differ only at beta = 0, which no counting query reads, so a row cached
+    by either serves every later caller."""
     caches = {c: g._cache.setdefault(("hist", c), {}) for c in depths}
-    todo = [(ck, c) for c in depths for ck in keys if ck not in caches[c]]
+    todo = [(c, [ck for ck in keys if ck not in caches[c]]) for c in depths]
+    todo = [(c, cks, g.laufer_rows(cks, g.deep_demands(c)).tolist()) for c, cks in todo if cks]
     if todo:
-        deeps = [g.deep_point(ck, c).scaled() for ck, c in todo]
-        rows = series.sweep_histogram(g, [(ck, x) for (ck, _), x in zip(todo, deeps)])
-        for (ck, c), x, row in zip(todo, deeps, rows):
-            caches[c][ck] = (x, row)
-    return [([_from_scaled(g, caches[c][ck][0]) for ck in keys],
+        rows = iter(series.sweep_histogram(
+            g, [(ck, x) for _, cks, xs in todo for ck, x in zip(cks, xs)]))
+        for c, cks, xs in todo:
+            for ck, x in zip(cks, xs):
+                caches[c][ck] = (tuple(x), next(rows))
+    return [(int_rows([caches[c][ck][0] for ck in keys]),
              np.array([caches[c][ck][1] for ck in keys])) for c in depths]
 
 
@@ -106,13 +114,6 @@ def _check_depth(depth):
                                        % depth)
 
 
-def _check_sum_region(g, x):
-    # the counting/quadratic correspondence needs x in -K + int(cone): d (x + K, E_v) < 0
-    for v, (q, k) in enumerate(zip(x.scaled_pairings(), g.kpair)):
-        if q + g.det * k >= 0:
-            raise BoundViolation("deep point not inside -K + int(cone) at vertex %d" % v)
-
-
 def _nonempty(g, subset):
     """g.vertices(subset), which must not be empty."""
     subset = g.vertices(subset)
@@ -121,28 +122,68 @@ def _nonempty(g, subset):
     return subset
 
 
+def _assemble(g, keys, depth):
+    """(sw, normalized_r, normalized_s) of each class key at depth, checked
+    stable at depth + 1, from the deep points and histograms of sweep_hist.
+
+    The checks and the four quadratic terms run on arrays of integer
+    numerators over the one denominator 8 d^2: for d-scaled K and x,
+    8 d^2 quad_term(x) = (K + 2x) I (K + 2x) + |V| d^2, and
+    8 d^2 sw = -8 d^2 count - that.  Each array step runs in the dtype that
+    int_dtype picks for a bound on its values.  Fractions are built only for
+    the three values of each class.
+    """
+    n, d = g.n, g.det
+    den = 8 * d * d
+    (x0, h0), (x1, h1) = sweep_hist(g, keys, (depth, depth + 1))
+    counts = [series.hist_not_ge(h, range(n)) for h in (h0, h1)]
+    top = max(abs(c) for cs in counts for c in cs)
+    r = int_rows(keys)
+
+    def dtype_for(*points):
+        # |K + 2x| <= u bounds the quadratic form by n u^2 width, and
+        # d (x + K, E_v) by u width
+        u = 2 * max(map(_absmax, points)) + max(map(abs, g._k))
+        return int_dtype(den * (top + 1) + n * (u * u * g.width + d * d))
+
+    def quad(xs, dt):
+        u = np.array(g._k, dtype=dt) + 2 * xs.astype(dt)
+        return (u * (u @ g.int_arrays(dt)[0])).sum(axis=1) + n * d * d
+
+    dt = dtype_for(x0, x1)
+    k, m = np.array(g._k, dtype=dt), g.int_arrays(dt)[0]
+    for xs in (x0, x1):
+        # the counting/quadratic correspondence needs x in -K + int(cone):
+        # d (x + K, E_v) < 0 at every vertex
+        bad = np.argwhere((xs.astype(dt) + k) @ m >= 0)
+        if len(bad):
+            raise BoundViolation("deep point not inside -K + int(cone) at vertex %d"
+                                 % bad[0][1])
+    sw0, sw1 = (-den * np.array(cs, dtype=dt) - quad(xs, dt)
+                for cs, xs in zip(counts, (x0, x1)))
+    unstable = np.flatnonzero(sw0 != sw1)
+    if len(unstable):
+        i = unstable[0]
+        raise DepthNotStable("class %s: %s at depth %d vs %s at depth %d"
+                             % (keys[i], Fraction(int(sw0[i]), den), depth,
+                                Fraction(int(sw1[i]), den), depth + 1))
+    s = minimal_s_rows(g, r)
+    dt = dtype_for(r, s)
+    return [(Fraction(a, den), Fraction(a + b, den), Fraction(a + c, den))
+            for a, b, c in zip(sw0.tolist(), quad(r, dt).tolist(), quad(s, dt).tolist())]
+
+
 def _records(g, keys, depth):
     """{class_key: SwRecord} for the classes at depth, each checked stable at
     depth + 1.  The record values live in one dict per depth, without the
     graph, so the cache holds no reference back to g; the classes missing
-    there are counted from sweep_hist, which keeps their deep points and
-    histograms for the counting identity to read as well."""
+    there are assembled by _assemble, from sweep_hist, which keeps their
+    deep points and histograms for the counting identity to read as well."""
     _check_depth(depth)
     recs = g._cache.setdefault(("sw", depth), {})
     todo = [ck for ck in keys if ck not in recs]
     if todo:
-        sides = []
-        for xs, hists in sweep_hist(g, todo, (depth, depth + 1)):
-            for x in xs:
-                _check_sum_region(g, x)
-            sides.append([-q - quad_term(g, x)
-                          for x, q in zip(xs, series.hist_not_ge(hists, range(g.n)))])
-        for ck, sw0, sw1 in zip(todo, *sides):
-            if sw0 != sw1:
-                raise DepthNotStable("class %s: %s at depth %d vs %s at depth %d"
-                                     % (ck, sw0, depth, sw1, depth + 1))
-            s, _delta = minimal_s_rep(g, ck)
-            recs[ck] = (sw0, sw0 + quad_term(g, g.rep_from_key(ck)), sw0 + quad_term(g, s))
+        recs.update(zip(todo, _assemble(g, todo, depth)))
     return {ck: SwRecord(g, ck, *recs[ck], depth) for ck in keys}
 
 
@@ -323,7 +364,7 @@ class SurgeryReport:
     def as_dict(self):
         return {
             "kind": self.kind,
-            "class": [str(c) for c in self.graph.rep_from_key(self.class_key).coords],
+            "class": vector_text(self.graph.rep_from_key(self.class_key)),
             "subset": [self.graph.ids[v] for v in self.subset],
             "lhs": fraction_text(self.lhs),
             "rhs": fraction_text(self.rhs),
@@ -362,7 +403,7 @@ def _component_counts(forest, xs):
         # |y| <= n_i top max(d_i E*_v), and the pairing check multiplies by a row of I_i
         top = max(abs(p) for row in own for p in row)
         reach = max(len(nb) - e for e, nb in zip(comp.eulers, comp.adj))
-        if comp.n * top * max(map(max, comp.dual_scaled)) * reach >= 2 ** 62:
+        if comp.n * top * comp.dual_max * reach >= 2 ** 62:
             raise InfeasibleQuery("restriction to %s would overflow int64" % (comp.ids,))
         own = np.array(own, dtype=np.int64)
         y_scaled = -own @ np.array(comp.dual_scaled, dtype=np.int64)   # rows: d_i j*(x)
@@ -397,7 +438,8 @@ def _counting_surgery(g, keys, subset, depths):
     for depth, (xs, hists) in zip(depths, sweep_hist(g, keys, depths)):
         for ck, full, reduced, comp_vals in zip(
                 keys, series.hist_not_ge(hists, range(g.n)),
-                series.hist_not_ge(hists, subset), _component_counts(forest, xs)):
+                series.hist_not_ge(hists, subset),
+                _component_counts(forest, [_from_scaled(g, tuple(x)) for x in xs.tolist()])):
             items[ck].append({"depth": depth, "full": full, "reduced": reduced,
                               "components": comp_vals})
     reports = {}

@@ -236,7 +236,11 @@ expect(MethodPreconditionFailed, cubes.gorenstein_pc, g, ())
 expect(MethodPreconditionFailed, sw.sw_table, g, -1)
 expect(MethodPreconditionFailed, sw.sw_invariant, g, g.zero(), -3)
 expect(MethodPreconditionFailed, sw.verify_counting_surgery, g, g.zero(), (0,), (1, -1))
-expect(BoundViolation, sw._check_sum_region, g, g.zero())
+# demands far below the cone leave each deep point at its class
+# representative, outside -K + int(cone)
+low_demands = fx.gorenstein_star()
+low_demands.deep_demands = lambda depth: [-10 ** 6] * low_demands.n
+expect(BoundViolation, sw.sw_invariant, low_demands, low_demands.zero())
 # an odd shift of (K, E_v) makes chi half-integral on the lattice
 odd = fx.gorenstein_star()
 odd.kpair = tuple(k + 1 for k in odd.kpair)
@@ -263,9 +267,9 @@ expect(MethodPreconditionFailed, g.zero().__add__, other.zero())
 expect(MethodPreconditionFailed, g.zero().__sub__, other.zero())
 expect(MethodPreconditionFailed, g.zero().__ge__, other.zero())
 expect(MethodPreconditionFailed, g.zero().pair, other.zero())
-# a Laufer loop that stepped below its start would leave s_h - r_h negative
+# a Laufer kernel that stepped below its start would leave s_h - r_h negative
 low = fx.string_graph([-2, -2])
-low.laufer = lambda start, demands: start - low.basis_vector(0)
+low.laufer_rows = lambda starts, demands: starts - [low.det, 0]
 expect(InternalDisagreement, graph.minimal_s_rep, low, low.zero(), match="effective")
 # a wrong component dual basis restricts to a vector that pairs differently
 star = fx.showcase_star()

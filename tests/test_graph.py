@@ -4,6 +4,7 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from plumbsw import fixtures as fx
 from plumbsw.errors import (
     DuplicateVertex,
     InfeasibleQuery,
+    IterationCapExceeded,
     MethodPreconditionFailed,
     NotATree,
     NotInDualLattice,
@@ -28,7 +30,7 @@ from plumbsw.graph import (
     parse_graph_json,
     validate,
 )
-from plumbsw.sw import quad_term, sw_table
+from plumbsw.sw import quad_term, sw_invariant, sw_table
 from conftest import FractionLattice, closure_classes, det_cofactor, leading_minors
 
 
@@ -380,6 +382,52 @@ def test_scaled_core_matches_fraction_reference(seed, data):
     assert delta == s - g.rep_from_key(key)
     depth = data.draw(st.integers(0, 2))
     assert g.deep_point(key, depth).coords == ref.deep_point(key, depth)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_laufer_rows_match_the_unit_step_reference(seed, data):
+    # the kernel steps every violated (row, vertex) at once, from above x*;
+    # each row must be the point of the one-vertex-at-a-time loop
+    g = fx.random_tree(random.Random(seed), max_det=300)
+    ref = FractionLattice(g)
+    ints = st.lists(st.integers(-4, 4), min_size=g.n, max_size=g.n)
+    starts = [g.from_dual_coords(data.draw(ints)) + g.vector(data.draw(ints))
+              for _ in range(data.draw(st.integers(1, 12)))]
+    demands = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))
+    rows = g.laufer_rows([x.scaled() for x in starts], demands)
+    assert rows.dtype == np.int64
+    assert [tuple(Fraction(c, g.det) for c in row) for row in rows.tolist()] == [
+        ref.laufer(x.coords, demands) for x in starts]
+    assert [g.laufer(x, demands).scaled() for x in starts] == list(map(tuple, rows.tolist()))
+
+
+def test_laufer_rows_run_on_python_ints_past_int64():
+    # det 16,831,644,835.  A start of coordinates 10^10 has d-scaled entries
+    # past int64, so the kernel runs on object arrays; the demands below
+    # need a few unit steps from it, as the reference finds
+    g = fx.string_graph([-5] * 15)
+    ref = FractionLattice(g)
+    big = 10 ** 10
+    starts = [g.vector([big] * g.n), g.vector([big] * g.n) + g.dual_vector(7)]
+    demands = [3 * big + 2] * g.n
+    rows = g.laufer_rows([x.scaled() for x in starts], demands)
+    assert rows.dtype == object
+    assert [tuple(Fraction(c, g.det) for c in row) for row in rows.tolist()] == [
+        ref.laufer(x.coords, demands) for x in starts]
+    assert (rows != [x.scaled() for x in starts]).any()
+    # the one-class record refuses as the unit-step loop did: at depth 10^9
+    # the deep point's demands pass int64 in x*, and the point is 10^6 unit
+    # steps or more from the class representative; at depth 1 the walk's
+    # thresholds would leave int64
+    key = g.class_key(g.dual_vector(3))
+    with pytest.raises(IterationCapExceeded, match="exceeded 1000000 steps"):
+        sw_invariant(g, key, depth=10 ** 9)
+    with pytest.raises(InfeasibleQuery, match="coordinates would overflow int64"):
+        sw_invariant(g, key)
+    s, delta = minimal_s_rep(g, key)
+    assert s.coords == ref.laufer([Fraction(c, g.det) for c in key], [0] * g.n)
+    assert g.deep_point(key, 1).coords == ref.deep_point(key, 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -15,6 +15,7 @@ from plumbsw.series import (
     SupportStore,
     UnivariateTable,
     _class_step,
+    _coefficient_bound,
     _iter_batches,
     _point_bound,
     _walk_plan,
@@ -164,6 +165,42 @@ def test_overlong_threshold_raises_before_enumeration(a2, monkeypatch):
             support_bound_report(a2, [0, 1], a2.vector([c, 0]))
         with pytest.raises(InfeasibleQuery):
             SupportStore(a2, [c, 0])
+
+
+def test_coefficient_sums_that_could_pass_int64_are_refused(monkeypatch):
+    # at an isolated vertex the factor a + 1 grows with the threshold: below
+    # 4 * 10^9 a walk yields up to 4 * 10^9 points with coefficients up to
+    # 4 * 10^9, whose sum could pass int64, though the point bound is under
+    # POINT_LIMIT; the walk is refused before it starts
+    def walk(*args):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.setattr(series, "_iter_batches", walk)
+    g = validate(["x"], [-1], [])
+    top = 4 * 10 ** 9
+    plan = _walk_plan(g, [top])
+    assert _point_bound(g, plan) == _coefficient_bound(g, plan) == top
+    assert top <= series.POINT_LIMIT and top * top >= 2 ** 63
+    with pytest.raises(InfeasibleQuery, match="coefficient sums"):
+        counting(g, "full", g.vector([top]))
+
+
+STAR6 = ("c", "l1", "l2", "l3", "l4", "l5", "l6")
+
+
+@pytest.mark.parametrize("make", [
+    fx.showcase_star, fx.gorenstein_star, lambda: fx.ade_graph("E8"),
+    lambda: validate(STAR6, [-2] + [-4] * 6, [("c", v) for v in STAR6[1:]])],
+    ids=["ex_graph2", "gor_star", "E8", "valency-6 star"])
+def test_coefficient_bound_covers_every_walked_coefficient(make):
+    # the int64 guard multiplies the point bound by this bound on |z|; at
+    # the valency-6 node it is the middle binomial C(4, 2) = 6, reached
+    g = make()
+    plan = _walk_plan(g, [3 * g.dual_scaled[0][0]] + [0] * (g.n - 1))
+    z = max(int(np.abs(z).max()) for _, z in _iter_batches(g, plan))
+    assert z <= _coefficient_bound(g, plan)
+    if g.n == len(STAR6):
+        assert z == _coefficient_bound(g, plan) == 6
 
 
 def test_query_validation(showcase2):

@@ -1,17 +1,20 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from plumbsw import fixtures as fx
+from plumbsw import graph as graph_module
 from plumbsw import series
 from plumbsw import sw as sw_module
 from plumbsw.cubes import coefficient_via_cubes, gorenstein_pc, swbar
 from plumbsw.errors import (
     BoundViolation,
     ComponentNotRational,
+    DepthNotStable,
     IdentityViolation,
     InfeasibleQuery,
     MethodPreconditionFailed,
@@ -108,6 +111,64 @@ def test_records_check_the_deep_point_region(monkeypatch):
         sw_table(fx.ade_graph("D4"))
     with pytest.raises(BoundViolation):
         sw_invariant(fx.ade_graph("D4"), (0,) * 4)
+
+
+def test_records_check_stability_under_deepening(monkeypatch):
+    # one more unit in the last histogram row, the deeper one of the last
+    # class asked for, makes its two depths disagree: the all-classes table
+    # and the one-class route both refuse to read an invariant there
+    sweep = series.sweep_histogram
+
+    def bumped(g, queries):
+        rows = sweep(g, queries)
+        rows[-1, -1] += 1           # beta = every vertex: counted by every subset
+        return rows
+
+    monkeypatch.setattr(series, "sweep_histogram", bumped)
+    g = fx.ade_graph("D4")
+    last = g.classes().reps_scaled[-1]
+    with pytest.raises(DepthNotStable, match=r"class %s: .* at depth 1 vs .* at depth 2"
+                       % (re.escape(str(last)),)):
+        sw_table(g)
+    with pytest.raises(DepthNotStable, match=r"class \(0, 0, 0, 0\): -1/2 at depth 3 vs "
+                                             r"-3/2 at depth 4"):
+        sw_invariant(fx.ade_graph("D4"), (0,) * 4, depth=3)
+
+
+TABLE_GRAPHS = {
+    "ex_graph2": fx.showcase_star,
+    "gor_star": fx.gorenstein_star,
+    "D5": lambda: fx.ade_graph("D5"),
+    "E8": lambda: fx.ade_graph("E8"),
+    "random": lambda: fx.random_tree(random.Random(17), max_det=60),
+}
+
+
+@pytest.mark.parametrize("make", TABLE_GRAPHS.values(), ids=list(TABLE_GRAPHS))
+def test_table_records_equal_one_class_records(make):
+    # the table assembles every class in one array pass; each class counted
+    # alone on a fresh graph gives the same record
+    g, fresh = make(), make()
+    table = sw_table(g)
+    assert list(table) == g.classes().reps_scaled
+    for ck, rec in table.items():
+        alone = sw_invariant(fresh, ck)
+        assert (rec.sw, rec.normalized_r, rec.normalized_s, rec.depth_used) == (
+            alone.sw, alone.normalized_r, alone.normalized_s, alone.depth_used)
+        assert rec.as_dict() == alone.as_dict()
+
+
+def test_records_run_the_same_on_python_ints(monkeypatch):
+    # where a bound could pass int64 the kernel and the record assembly run
+    # on object arrays; forced there, they give the records of int64
+    want = {ck: (r.sw, r.normalized_r, r.normalized_s)
+            for ck, r in sw_table(fx.showcase_star()).items()}
+    monkeypatch.setattr(graph_module, "int_dtype", lambda bound: object)
+    monkeypatch.setattr(sw_module, "int_dtype", lambda bound: object)
+    g = fx.showcase_star()
+    assert g.laufer_rows(g.classes().reps_scaled, g.deep_demands(1)).dtype == object
+    assert {ck: (r.sw, r.normalized_r, r.normalized_s)
+            for ck, r in sw_table(g).items()} == want
 
 
 def test_component_counts_refuse_an_overflowing_restriction(showcase2):

@@ -11,7 +11,8 @@ Run it on two source trees and compare:
     diff old.txt new.txt
 
 The command set, per fixture: ``validate``, ``info``, ``sw`` for every
-class, for ``#0`` at depth 2 and for the manifest class; ``pc`` in three
+class at the default depth and at depth 0 (the smallest legal depth), for
+``#0`` at depth 2 and for the manifest class; ``pc`` in three
 methods for two classes, plus ``--class all`` in closed form on the nodes;
 ``surgery`` in four modes over three subsets for two classes, plus
 ``--class all`` in counting mode per subset, in the ``pc``, ``red1`` and
@@ -24,7 +25,7 @@ would overflow int64 and one that asks for about 10^15 points), and two
 malformed inputs: an exponent with a zero denominator and a JSON graph
 whose vertex has no Euler number.  An exception that escapes ``cli.run`` is
 recorded as exit 1, the interpreter's code for it, with its type hashed
-after the output.  The 794 commands take about 65 s on one core, most of it
+after the output.  The 810 commands take about 50 s on one core, most of it
 on ``ex_graph1``.
 """
 
@@ -60,6 +61,7 @@ def commands(corpus):
         g = ["--graph", path]
         out += [["validate"] + g, ["info"] + g,
                 ["sw"] + g + ["--class", "all"],
+                ["sw"] + g + ["--class", "all", "--depth", "0"],
                 ["sw"] + g + ["--class", "#0", "--depth", "2"],
                 ["sw"] + g + ["--class", "auto"]]
         for cls in classes:

@@ -53,20 +53,26 @@ def _subset_bits(k):
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
+def _chi(g, pts):
+    """chi(x) = -(x, x + K)/2 at each row x of pts, an int64 array of integer
+    E-coordinates; it must be integral.  (K, E_v) is read from g.kpair at
+    every call."""
+    kp = np.array(g.kpair, dtype=np.int64)
+    two_chi = -(np.einsum("ij,jk,ik->i", pts, g.int_arrays(np.int64)[0], pts) + pts @ kp)
+    if (two_chi & 1).any():
+        raise InternalDisagreement("chi not integral on integral points")
+    return two_chi // 2
+
+
 def _corner_data(g):
     """Per-graph constants of coefficient_via_cubes: the 2^n corners of the
-    unit cube (row j has the bits of j), the int64 intersection matrix and
-    K pairings, 2 chi of each corner less its cross term with the base
-    point, and the sign (-1)^(|J|+1) of each direction set."""
+    unit cube (row j has the bits of j), chi of each corner and the sign
+    (-1)^(|J|+1) of each direction set."""
     key = "cube_corners"
     if key not in g._cache:
-        n = g.n
-        corners = _subset_bits(n)
-        imat = np.array(g.matrix, dtype=np.int64)
-        kp = np.array(g.kpair, dtype=np.int64)
-        own = -(np.einsum("ij,jk,ik->i", corners, imat, corners) + corners @ kp)
+        corners = _subset_bits(g.n)
         signs = np.where(corners.sum(axis=1) % 2 == 1, 1, -1)
-        g._cache[key] = (corners, imat, kp, own, signs)
+        g._cache[key] = (corners, _chi(g, corners), signs)
     return g._cache[key]
 
 
@@ -77,13 +83,10 @@ def coefficient_via_cubes(g: PlumbingGraph, l: LatticeVector) -> int:
     l, then a subset-max transform.
     """
     x = np.array(_ints(g, l), dtype=np.int64)
-    corners, imat, kp, own, signs = _corner_data(g)
-    ix = imat @ x
-    # 2 chi(x + c) = 2 chi(x) + 2 chi(c) - 2 (x, c)
-    two_chi = own - 2 * (corners @ ix) - (x @ ix + x @ kp)
-    if (two_chi & 1).any():
-        raise InternalDisagreement("chi not integral on integral points")
-    w = (two_chi // 2).reshape([2] * g.n)
+    corners, chi_corners, signs = _corner_data(g)
+    # chi(x + c) - chi(x) = chi(c) - (x, c); the constant chi(x) drops out of
+    # the maxima and then of the signed sum, whose signs add up to 0
+    w = (chi_corners - corners @ (g.int_arrays(np.int64)[0] @ x)).reshape([2] * g.n)
     for axis in range(g.n):
         np.maximum.accumulate(w, axis=axis, out=w)
     return int(signs @ w.reshape(-1))
@@ -109,12 +112,7 @@ def _chi_box(g: PlumbingGraph, hi):
     axes = [np.arange(h + 1, dtype=np.int64) for h in hi]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    imat = np.array(g.matrix, dtype=np.int64)
-    kp = np.array(g.kpair, dtype=np.int64)
-    two_chi = -(np.einsum("ij,jk,ik->i", pts, imat, pts) + pts @ kp)
-    if (two_chi & 1).any():
-        raise InternalDisagreement("chi not integral on integral points")
-    grid = (two_chi // 2).reshape([h + 1 for h in hi])
+    grid = _chi(g, pts).reshape([h + 1 for h in hi])
     g._cache[key] = grid
     return grid
 

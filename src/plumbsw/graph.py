@@ -593,10 +593,15 @@ def validate(ids, eulers, edges) -> PlumbingGraph:
     edges reference vertex ids.
     """
     ids = list(ids)
-    if isinstance(eulers, dict):
-        eulers = [eulers[i] for i in ids]
     if len(set(ids)) != len(ids):
         raise DuplicateVertex("repeated vertex id")
+    if isinstance(eulers, dict):
+        missing = [i for i in ids if i not in eulers]
+        if missing:
+            raise PlumbingError("no Euler number for vertex %s" % (missing[0],))
+        eulers = [eulers[i] for i in ids]
+    if len(eulers) != len(ids):
+        raise PlumbingError("%d Euler numbers for %d vertices" % (len(eulers), len(ids)))
     index = {v: i for i, v in enumerate(ids)}
     idx_edges = []
     for a, b in edges:

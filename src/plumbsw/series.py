@@ -201,7 +201,7 @@ def _iter_batches(g: PlumbingGraph, plan: WalkPlan):
     if not pairs:
         return
     tracked = [w for w, _ in pairs]
-    cols = np.array(g.dual_scaled, dtype=np.int64)         # row v: d E*_v
+    cols = g.int_arrays(np.int64)[1]                       # row v: d E*_v
     cols_t = cols[:, tracked]
     top = np.array([t for _, t in pairs], dtype=np.int64)
 
@@ -468,17 +468,12 @@ class UnivariateTable:
                 continue
             if du >= 3:
                 new = T.copy()
+                cols = np.arange(d_h)
                 for b in range(1, du - 1):
                     if b * w >= S:
                         break
-                    coef = _sign_binom(du - 2, b)
-                    permb = subs[u]
-                    src = T[: S - b * w]
-                    # apply class subtraction b times
-                    cols = np.arange(d_h)
-                    for _ in range(b):
-                        cols = permb[cols]
-                    new[b * w:] += coef * src[:, cols]
+                    cols = subs[u][cols]            # class subtraction, b times
+                    new[b * w:] += _sign_binom(du - 2, b) * T[: S - b * w][:, cols]
                 T = new
             else:
                 passes = 2 - du

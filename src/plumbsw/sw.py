@@ -36,7 +36,6 @@ from .graph import (
     LatticeVector,
     PlumbingGraph,
     _absmax,
-    _from_scaled,
     dual_restrict,
     fraction_text,
     int_dtype,
@@ -83,27 +82,32 @@ class SwRecord:
         }
 
 
+def _hist_rows(g, queries):
+    """Histogram rows of (class key, d-scaled threshold tuple) queries, as one
+    array in query order.  The rows live in one dict per graph keyed by the
+    query, and the distinct queries missing there are counted by one
+    sweep_histogram pass.  A row depends only on its query, except at
+    beta = 0, which depends on the envelope of its pass and which no
+    counting query reads, so a row cached by any pass serves every later
+    caller."""
+    cache = g._cache.setdefault("hist", {})
+    todo = list(dict.fromkeys(q for q in queries if q not in cache))
+    if todo:
+        cache.update(zip(todo, series.sweep_histogram(g, todo)))
+    return np.array([cache[q] for q in queries])
+
+
 def sweep_hist(g, keys, depths):
     """Deep points of the classes and their histogram rows at each depth: one
     (points, rows) pair of arrays per depth, in key order, the points
-    d-scaled (see int_rows).  Both live in one dict per depth, {class key:
-    (d-scaled deep point, row)}.  The deep points missing at one depth come
-    from one laufer_rows call, and every (class, depth) pair missing there is
-    counted by one histogram pass, where each class has a run of one query
-    per depth.  A one-class pass and an every-class pass give rows that
-    differ only at beta = 0, which no counting query reads, so a row cached
-    by either serves every later caller."""
-    caches = {c: g._cache.setdefault(("hist", c), {}) for c in depths}
-    todo = [(c, [ck for ck in keys if ck not in caches[c]]) for c in depths]
-    todo = [(c, cks, g.laufer_rows(cks, g.deep_demands(c)).tolist()) for c, cks in todo if cks]
-    if todo:
-        rows = iter(series.sweep_histogram(
-            g, [(ck, x) for _, cks, xs in todo for ck, x in zip(cks, xs)]))
-        for c, cks, xs in todo:
-            for ck, x in zip(cks, xs):
-                caches[c][ck] = (tuple(x), next(rows))
-    return [(int_rows([caches[c][ck][0] for ck in keys]),
-             np.array([caches[c][ck][1] for ck in keys])) for c in depths]
+    d-scaled (see int_rows).  Each depth's deep points come from one
+    laufer_rows call, and their rows from _hist_rows, so the (class, depth)
+    pairs counted by no earlier caller take one histogram pass together."""
+    xs = [g.laufer_rows(keys, g.deep_demands(c)) for c in depths]
+    rows = _hist_rows(g, [(ck, tuple(x)) for points in xs
+                          for ck, x in zip(keys, points.tolist())])
+    k = len(keys)
+    return [(points, rows[i * k:(i + 1) * k]) for i, points in enumerate(xs)]
 
 
 def _check_depth(depth):
@@ -178,7 +182,7 @@ def _records(g, keys, depth):
     depth + 1.  The record values live in one dict per depth, without the
     graph, so the cache holds no reference back to g; the classes missing
     there are assembled by _assemble, from sweep_hist, which keeps their
-    deep points and histograms for the counting identity to read as well."""
+    histogram rows for the counting identity to read as well."""
     _check_depth(depth)
     recs = g._cache.setdefault(("sw", depth), {})
     todo = [ck for ck in keys if ck not in recs]
@@ -243,16 +247,22 @@ class QuasiPoly:
         self._swT = sw_invariant(g, self.class_key).sw
         self._forest = g.components_minus(self.subset)
 
-    def evaluate(self, l: LatticeVector) -> Fraction:
-        """Value at integral l; equals the counting function at r_h + l deep."""
+    def split(self, l: LatticeVector):
+        """(evaluate(l), pieces): pieces lists (comp, y, component_term(comp, y))
+        for every piece of T - subset, y the restriction of r_h + l to it."""
         if not l.is_integral():
             raise MethodPreconditionFailed("quasipolynomial argument must be integral")
-        g = self.graph
         point = self._r + l
-        value = -self._swT - quad_term(g, point)
+        pieces = []
         for comp, origin in self._forest:
-            value += component_term(comp, dual_restrict(point, comp, origin))
-        return value
+            y = dual_restrict(point, comp, origin)
+            pieces.append((comp, y, component_term(comp, y)))
+        value = -self._swT - quad_term(self.graph, point) + sum(t for _, _, t in pieces)
+        return value, pieces
+
+    def evaluate(self, l: LatticeVector) -> Fraction:
+        """Value at integral l; equals the counting function at r_h + l deep."""
+        return self.split(l)[0]
 
     def pc(self) -> Fraction:
         """Periodic constant: the value at l = 0."""
@@ -274,18 +284,13 @@ def pc_gorenstein(g, subset) -> Fraction:
     return Fraction(series.counting(g, "reduced", g.ZK, subset))
 
 
-def _restriction_order(g, comp, origin, v):
-    # the order of y in L'/L is the lcm of the denominators of y_w = s_w / d
-    y = dual_restrict(g.basis_vector(v), comp, origin)
-    return comp.det // math.gcd(comp.det, *y.scaled())
-
-
 def univariate_step(g, v) -> int:
     """Smallest m with m*E_v restricting integrally to every piece of T - v."""
-    forest = g.components_minus([v])
     m = 1
-    for comp, origin in forest:
-        m = math.lcm(m, _restriction_order(g, comp, origin, v))
+    for comp, origin in g.components_minus([v]):
+        # the order of y in L'/L is the lcm of the denominators of y_w = s_w / d
+        y = dual_restrict(g.basis_vector(v), comp, origin)
+        m = math.lcm(m, comp.det // math.gcd(comp.det, *y.scaled()))
     return m
 
 
@@ -385,32 +390,36 @@ def _raise_if_violated(report):
     return report
 
 
-def _component_counts(forest, xs):
+def _component_counts(g, forest, xs):
     """Full counts of every component of T - subset at the restriction of
-    each point of xs: one list of per-component counts per point.
+    each row of xs, d-scaled points of the dual lattice of g (see int_rows):
+    one list of per-component counts per row.
 
-    The restrictions of all points to a component come from one integer
-    matrix product (restriction is the adjugate acting on the pairing
-    vector), checked against the pairings it must reproduce, and one query
-    pass over the component counts them all.
+    The pairings of all rows come from one integer matrix product, and the
+    restrictions of all rows to a component from one more (restriction is
+    the adjugate acting on the pairing vector), checked against the
+    pairings it must reproduce.  The component's histogram rows come from
+    _hist_rows, so a restricted point counted before is read back.
     """
-    d = xs[0].graph.det
-    # pairing matrix rows: (x, E_w), integers since x is in the dual lattice
-    pairs = [[q // d for q in x.scaled_pairings()] for x in xs]
-    counts = [[] for _ in xs]
+    # pairing matrix rows: (x, E_w), integers since x is in the dual lattice;
+    # |d (x, E_w)| <= width max|x|
+    dt = int_dtype(g.width * _absmax(xs))
+    pairs = xs.astype(dt) @ g.int_arrays(dt)[0] // g.det
+    counts = [[] for _ in range(len(xs))]
     for comp, origin in forest:
-        own = [[row[u] for u in origin] for row in pairs]
+        own = pairs[:, list(origin)]
         # |y| <= n_i top max(d_i E*_v), and the pairing check multiplies by a row of I_i
-        top = max(abs(p) for row in own for p in row)
+        top = _absmax(own)
         reach = max(len(nb) - e for e, nb in zip(comp.eulers, comp.adj))
         if comp.n * top * comp.dual_max * reach >= 2 ** 62:
             raise InfeasibleQuery("restriction to %s would overflow int64" % (comp.ids,))
-        own = np.array(own, dtype=np.int64)
-        y_scaled = -own @ np.array(comp.dual_scaled, dtype=np.int64)   # rows: d_i j*(x)
-        if (y_scaled @ np.array(comp.matrix, dtype=np.int64) != comp.det * own).any():
+        own = own.astype(np.int64)
+        m, dual = comp.int_arrays(np.int64)
+        ys = -own @ dual                                  # rows: d_i j*(x)
+        if (ys @ m != comp.det * own).any():
             raise InternalDisagreement("restriction to %s does not pair like x" % (comp.ids,))
-        ys = y_scaled.tolist()
-        hists = series.sweep_histogram(comp, [(tuple(c % comp.det for c in y), y) for y in ys])
+        hists = _hist_rows(comp, [(tuple(c % comp.det for c in y), tuple(y))
+                                  for y in ys.tolist()])
         for row, q in zip(counts, series.hist_not_ge(hists, range(comp.n))):
             row.append(q)
     return counts
@@ -421,9 +430,11 @@ def _counting_surgery(g, keys, subset, depths):
 
     Full count at a deep point of the class = reduced count there + the
     full counts of every component of T - subset at the restricted point.
-    Full and reduced counts come from sweep_hist, so classes whose records
-    or identities were counted before are read back, and the rest take one
-    histogram pass for every depth.  The component counts stay one pass per
+    Full and reduced counts come from sweep_hist, and the component counts
+    from the histogram rows of each piece, so points whose rows were
+    counted before (for a record, an identity, another depth or another
+    subset) are read back, and the rest take one histogram pass for every
+    depth on T and on each piece.  The component counts stay one pass per
     depth: the deep points of two depths can restrict to different classes
     of a piece, and one pass over both would walk the piece untargeted.
     Returns {class_key: SurgeryReport}, raising IdentityViolation on the
@@ -438,8 +449,7 @@ def _counting_surgery(g, keys, subset, depths):
     for depth, (xs, hists) in zip(depths, sweep_hist(g, keys, depths)):
         for ck, full, reduced, comp_vals in zip(
                 keys, series.hist_not_ge(hists, range(g.n)),
-                series.hist_not_ge(hists, subset),
-                _component_counts(forest, [_from_scaled(g, tuple(x)) for x in xs.tolist()])):
+                series.hist_not_ge(hists, subset), _component_counts(g, forest, xs)):
             items[ck].append({"depth": depth, "full": full, "reduced": reduced,
                               "components": comp_vals})
     reports = {}
@@ -485,20 +495,13 @@ def verify_pc_surgery(g, h, subset) -> SurgeryReport:
     else:
         method = "prop1_conditional"
         verify_counting_surgery(g, ck, subset)
-        pc = pc_closed_form(g, ck, subset)
-    rec = sw_invariant(g, ck)
-    forest = g.components_minus(subset)
-    r = g.rep_from_key(ck)
-    items = []
-    total = Fraction(0)
-    for comp, origin in forest:
-        y = dual_restrict(r, comp, origin)
-        t = component_term(comp, y)
-        items.append({"component": [comp.ids[i] for i in range(comp.n)],
-                      "term": fraction_text(t)})
-        total += t
-    lhs = rec.normalized_r
-    rhs = total - pc
+        pc = None
+    closed_form, pieces = QuasiPoly(g, ck, subset).split(g.zero())
+    if pc is None:
+        pc = closed_form
+    items = [{"component": list(comp.ids), "term": fraction_text(t)} for comp, _, t in pieces]
+    lhs = sw_invariant(g, ck).normalized_r
+    rhs = sum(t for _, _, t in pieces) - pc
     items.append({"pc": fraction_text(pc), "method": method})
     report = SurgeryReport("pc", g, ck, subset, lhs, rhs, items,
                            lhs == rhs, method=method)
@@ -529,17 +532,16 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
     r = g.rep_from_key(ck)
     items = []
     if which == "red1":
-        pc = pc_closed_form(g, ck, subset)
+        # the value at l = 0 is the closed-form pc
+        pc, pieces = QuasiPoly(g, ck, subset).split(g.zero())
         chi_sum = Fraction(0)
         ok = True
-        for comp, origin in forest:
-            y = dual_restrict(r, comp, origin)
+        for comp, y, term in pieces:
             s_i, _ = minimal_s_rep(comp, y)
             corr = comp.chi(s_i) - comp.chi(y)
-            term = component_term(comp, y)
             ok = ok and term == corr
             items.append({
-                "component": [comp.ids[i] for i in range(comp.n)],
+                "component": list(comp.ids),
                 "chi_correction": fraction_text(corr),
                 "measured_term": fraction_text(term),
             })
@@ -553,28 +555,26 @@ def reduction_rational(g, h, subset, which="red1") -> SurgeryReport:
 
     if which == "red2":
         s_h, delta = minimal_s_rep(g, r)
-        qp = QuasiPoly(g, ck, subset)
         # cut at zero: the shifted-away part is empty and the split is the
         # definition of the pc
         finite0 = series.counting(g, "reduced", r, subset)
         ok = finite0 == 0
         items.append({"cut": "0", "finite_part": finite0})
-        # cut at delta
+        # cut at delta: r_h + delta = s_h, so the pieces are read at the
+        # restrictions of s_h
         finite = Fraction(series.counting(g, "reduced", s_h, subset))
-        q_at_delta = qp.evaluate(delta)
+        q_at_delta, pieces = QuasiPoly(g, ck, subset).split(delta)
         pc_tail = q_at_delta - finite
         items.append({"cut": "delta", "finite_part": fraction_text(finite),
                       "pc_tail": fraction_text(pc_tail)})
         # component vanishing: restriction commutes with taking minimal
         # cone representatives, and rational pieces normalize to zero there
-        for comp, origin in forest:
-            y = dual_restrict(s_h, comp, origin)
+        for comp, y, term in pieces:
             s_y, _ = minimal_s_rep(comp, y)
             minimal_ok = s_y == y
-            term = component_term(comp, y)
             ok = ok and minimal_ok and term == 0
             items.append({
-                "component": [comp.ids[i] for i in range(comp.n)],
+                "component": list(comp.ids),
                 "restriction_is_minimal": minimal_ok,
                 "measured_term": fraction_text(term),
             })

@@ -58,6 +58,13 @@ def test_every_walk_passes_the_guards():
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(walk))
 
 
+def test_histograms_are_counted_through_one_cache():
+    # sw reaches the histogram pass only through _hist_rows, so every row it
+    # counts lands in the per-graph cache that later callers read back
+    sw = dict(_package_trees())["sw.py"]
+    assert list(_uses(sw, "sweep_histogram", "sw")) == [("sw._hist_rows", "Attribute")]
+
+
 def _resolve(mod_name, path):
     """The object Tracer.install replaces for one entry point, or None."""
     mod = sys.modules["plumbsw." + mod_name]

@@ -18,6 +18,7 @@ from plumbsw.errors import (
     NotATree,
     NotInDualLattice,
     NotNegativeDefinite,
+    PlumbingError,
 )
 from plumbsw.graph import (
     class_of,
@@ -52,6 +53,17 @@ def test_validate_rejects_positive_vertex():
 def test_validate_rejects_duplicate_vertex():
     with pytest.raises(DuplicateVertex):
         validate(["a", "a"], [-2, -2], [])
+
+
+def test_validate_refuses_malformed_euler_data():
+    # a short list, a dict that misses a vertex and a long list are refused
+    # as input errors, before the elimination reads them
+    for ids, eulers in ((["a", "b"], [-2]), (["a", "b"], {"a": -2}),
+                        (["a"], [-2, -3])):
+        with pytest.raises(PlumbingError) as err:
+            validate(ids, eulers, [("a", "b")] if len(ids) == 2 else [])
+        assert type(err.value) is PlumbingError
+        assert "Euler" in str(err.value)
 
 
 def test_validate_rejects_cycle_and_disconnection():

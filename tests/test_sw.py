@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbsw import fixtures as fx
 from plumbsw import graph as graph_module
@@ -25,12 +26,14 @@ from plumbsw.graph import (
     class_of,
     connected_closure,
     dual_restrict,
+    fraction_text,
     minimal_s_rep,
 )
 from plumbsw.sw import (
     QuasiPoly,
     component_term,
     counting_surgery_sweep,
+    pc_closed_form,
     pc_reduced,
     quad_term,
     reduction_rational,
@@ -39,6 +42,8 @@ from plumbsw.sw import (
     verify_counting_surgery,
     verify_pc_surgery,
 )
+
+from conftest import brute_counting
 
 
 def test_sw_single3_trivial_class(single3):
@@ -177,7 +182,8 @@ def test_component_counts_refuse_an_overflowing_restriction(showcase2):
     forest = g.components_minus(g.nodes)
     huge = g.vector([10 ** 19] * g.n)
     with pytest.raises(InfeasibleQuery):
-        sw_module._component_counts(forest, [g.deep_point(g.classes().reps_scaled[1], 1), huge])
+        sw_module._component_counts(g, forest, graph_module.int_rows(
+            [g.deep_point(g.classes().reps_scaled[1], 1).scaled(), huge.scaled()]))
 
 
 def test_quasipoly_full_matches_counting_deep(showcase2):
@@ -265,6 +271,75 @@ def test_counting_surgery_reads_the_cached_histograms(walks, make):
         walks.clear()
         assert verify_counting_surgery(g, ck, leaves).as_dict() == fresh
         assert [w for w in walks if w[0] == g.ids] == []
+
+
+def test_second_counting_surgery_sweep_walks_nothing(walks):
+    # the rows of T and of every piece are read back from their caches
+    g = fx.showcase_star()
+    first = {ck: rep.as_dict() for ck, rep in counting_surgery_sweep(g, (1, 3)).items()}
+    walks.clear()
+    assert {ck: rep.as_dict() for ck, rep in counting_surgery_sweep(g, (1, 3)).items()} == first
+    assert walks == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_component_counts_match_the_brute_oracle(seed, data):
+    # each component count is the full counting function of its piece at
+    # the restricted deep point, whichever cache the row was read from
+    g = fx.random_tree(random.Random(seed), max_det=300)
+    subset = tuple(sorted(data.draw(
+        st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n - 1))))
+    reps = g.classes().reps_scaled
+    ck = reps[data.draw(st.integers(0, len(reps) - 1))]
+    forest = g.components_minus(subset)
+    rep = verify_counting_surgery(g, ck, subset, depths=(1, 2))
+    for depth, item in zip((1, 2), rep.items):
+        assert item["depth"] == depth
+        assert item["full"] == item["reduced"] + sum(item["components"])
+        x = g.deep_point(ck, depth)
+        assert item["components"] == [
+            brute_counting(comp, dual_restrict(x, comp, origin), range(comp.n))
+            for comp, origin in forest]
+
+
+# each identity restricts every piece once per class, and reads its terms
+# and the closed-form pc from that one pass
+IDENTITIES = {
+    "prop1": lambda g, ck: verify_pc_surgery(g, ck, (1, 2)),
+    "gorenstein": lambda g, ck: verify_pc_surgery(g, ck, g.nodes),
+    "red1": lambda g, ck: reduction_rational(g, ck, (1, 2, 3, 4), "red1"),
+    "red2": lambda g, ck: reduction_rational(g, ck, (1, 2, 3, 4), "red2"),
+}
+METHODS = {"prop1": "prop1_conditional", "gorenstein": "gorenstein"}
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_identities_restrict_each_piece_once(monkeypatch, name):
+    g = fx.gorenstein_star() if name == "gorenstein" else fx.showcase_star()
+    keys = [(0,) * g.n] if name == "gorenstein" else g.classes().reps_scaled[:4]
+    calls = []
+    restrict = sw_module.dual_restrict
+
+    def counted(x, comp, origin):
+        calls.append(origin)
+        return restrict(x, comp, origin)
+
+    monkeypatch.setattr(sw_module, "dual_restrict", counted)
+    for ck in keys:
+        calls.clear()
+        rep = IDENTITIES[name](g, ck)
+        assert rep.equal
+        assert rep.method == METHODS.get(name, "")
+        assert sorted(calls) == sorted(g.components_minus(rep.subset).origins)
+
+
+@pytest.mark.parametrize("name", ["prop1", "red1"])
+def test_reported_pc_is_the_closed_form(showcase2, name):
+    for ck in showcase2.classes().reps_scaled[:4]:
+        rep = IDENTITIES[name](showcase2, ck)
+        want = pc_closed_form(showcase2, ck, rep.subset)
+        assert rep.items[-1]["pc"] == fraction_text(want)
 
 
 def test_counting_surgery_refuses_no_depths(monkeypatch):

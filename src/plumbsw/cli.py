@@ -83,8 +83,37 @@ def _parse_classes(g, sel, graph_path):
     return [g.class_key(_parse_vector(g, sel))]
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad="\n"):
+    """The text json's dumps writes for obj with an indent of 2 and sorted
+    keys, for dict keys that are all str (every report key is one; any
+    other key raises TypeError).  Strings go through json's own ASCII
+    escaper and an int through int.__repr__, as json writes them; every
+    other leaf goes through json.dumps, so a value json refuses raises the
+    same TypeError.  pad is the newline and indent of the enclosing level."""
+    if isinstance(obj, str):
+        return _ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_ascii(k) + ": " + (_ascii(v) if isinstance(v, str) else _json(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_ascii(v) if isinstance(v, str) else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _emit(report, output):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json(report)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -75,14 +75,20 @@ def _bareiss(m):
 
 def fraction_text(x):
     """Exact "p/q" text of a rational; the denominator is always written."""
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return "%d/%d" % (f.numerator, f.denominator)
 
 
 def vector_text(x):
     """The coordinates of a vector as exact rational text, one string each:
-    "p/q", or "p" for an integer."""
-    return [str(c) for c in x.coords]
+    "p/q" in lowest terms, or "p" for an integer.  Written from the d-scaled
+    coordinates c as c/d reduced by gcd(c, d), with no Fraction built."""
+    d = x.graph.det
+    out = []
+    for c in x.scaled():
+        g = math.gcd(c, d)
+        out.append("%d" % (c // d) if g == d else "%d/%d" % (c // g, d // g))
+    return out
 
 
 def int_dtype(bound):

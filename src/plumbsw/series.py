@@ -310,8 +310,11 @@ def sweep_histogram(g: PlumbingGraph, queries):
     points of its class whose set of coordinates strictly below its
     threshold is exactly beta.  One enumeration, up to the largest threshold
     of each coordinate, answers every query (several may share a class) and
-    every coordinate subset at once.  Entry beta = 0 depends on that
-    envelope, and no counting query reads it.  Rows are in query order.
+    every coordinate subset at once.  Each batch takes one pass per query
+    rank j: every point is tallied at query j of its class's run, if the
+    run has one, and only where it lies below that query's threshold on
+    some coordinate, so a row depends only on its query and entry beta = 0
+    holds 0.  Rows are in query order.
     """
     n, d = g.n, g.det
     keys = np.array([k for k, _ in queries], dtype=np.int64)
@@ -352,18 +355,17 @@ def sweep_histogram(g: PlumbingGraph, queries):
     width = 1 << n
     acc = np.zeros(len(keys) * width, dtype=np.int64)
     weights = 1 << np.arange(n, dtype=np.int64)
+    last = len(keys) - 1
     for coords, z in batches:
         lo, hi = runs_of(coords % d)
-        # points of unqueried classes have empty runs and drop out first;
-        # then each pass tallies every point at the next query of its run
-        keep = lo < hi
-        rows, hi, coords, z = lo[keep], hi[keep], coords[keep], z[keep]
-        while len(rows):
-            beta = ((coords < thr[rows]) * weights).sum(axis=1)
-            np.add.at(acc, rows * width + beta, z)
-            rows += 1
-            more = rows < hi
-            rows, hi, coords, z = rows[more], hi[more], coords[more], z[more]
+        # pass j tallies every point at query j of its class's run, where
+        # the run has one and the point lies below it somewhere; a point of
+        # an unqueried class has an empty run
+        for j in range(int((hi - lo).max(initial=0))):
+            rows = lo + j
+            beta = (coords < thr[np.minimum(rows, last)]) @ weights
+            sel = (rows < hi) & (beta != 0)
+            np.add.at(acc, rows[sel] * width + beta[sel], z[sel])
     out = np.empty((len(keys), width), dtype=np.int64)
     out[order] = acc.reshape(len(keys), width)
     return out
@@ -467,21 +469,18 @@ class UnivariateTable:
             if du == 2:
                 continue
             if du >= 3:
-                new = T.copy()
-                cols = np.arange(d_h)
-                for b in range(1, du - 1):
-                    if b * w >= S:
-                        break
-                    cols = subs[u][cols]            # class subtraction, b times
-                    new[b * w:] += _sign_binom(du - 2, b) * T[: S - b * w][:, cols]
-                T = new
+                # (1 - x)^(du - 2), x = t^w times the class subtraction, in
+                # du - 2 passes of T -= x T: the gather copies the rows it
+                # reads, so each pass reads T as it was before the pass
+                for _ in range(du - 2 if w < S else 0):
+                    T[w:] -= T[: S - w][:, subs[u]]
             else:
                 passes = 2 - du
                 for _ in range(passes):
                     perm = subs[u]
                     for s in range(w, S):
                         T[s] += T[s - w][perm]
-        self.cum = np.cumsum(T, axis=0)
+        self.cum = np.cumsum(T, axis=0, out=T)
         self.class_index = keymap
 
     def value(self, class_key, gamma_scaled) -> int:

@@ -86,10 +86,8 @@ def _hist_rows(g, queries):
     """Histogram rows of (class key, d-scaled threshold tuple) queries, as one
     array in query order.  The rows live in one dict per graph keyed by the
     query, and the distinct queries missing there are counted by one
-    sweep_histogram pass.  A row depends only on its query, except at
-    beta = 0, which depends on the envelope of its pass and which no
-    counting query reads, so a row cached by any pass serves every later
-    caller."""
+    sweep_histogram pass.  A row depends only on its query, so a row cached
+    by any pass serves every later caller."""
     cache = g._cache.setdefault("hist", {})
     todo = list(dict.fromkeys(q for q in queries if q not in cache))
     if todo:

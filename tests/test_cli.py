@@ -1,7 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbsw import cli, sw
 from plumbsw import fixtures as fx
@@ -284,3 +287,34 @@ def test_output_file_option(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out.read_text())["det"] == 2
+
+
+# report-shaped values: str keys; strings with non-ASCII, quote, backslash and
+# control characters; big and negative ints, booleans and None at the leaves
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 80, 2 ** 80),
+                        st.text(alphabet=st.sampled_from('az"\\\n\t\x00\x1fé☃𝄞'),
+                                max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(obj=JSON_VALUES)
+def test_writer_matches_the_json_encoder(obj):
+    # _emit's writer gives the bytes of json's indent-2, sorted-key output
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert cli._json({"a": [obj, {}, []]}) == json.dumps({"a": [obj, {}, []]},
+                                                        indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("leaf", [Fraction(1, 2), np.int64(3)], ids=["Fraction", "int64"])
+def test_writer_refuses_what_json_refuses(leaf):
+    for obj in (leaf, {"b": [1, {"a": leaf}]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._json(obj)
+        assert str(got.value) == str(want.value)

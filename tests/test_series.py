@@ -521,3 +521,33 @@ def test_walk_order_leaves_the_histograms_unchanged(source, pick):
             assert _walk_plan(g, thr, key).order == list(perm)
             assert (single_histogram(g, key, thr)[1:] == want[keys.index(key)]).all()
             assert (sweep_histogram(g, [(k, thr) for k in keys])[:, 1:] == want).all()
+
+
+@pytest.mark.parametrize("build", [
+    fx.showcase_star,
+    lambda: fx.string_graph([-2, -2, -2, -3, -4, -2, -2, -2, -2]),   # d^9 >= 2^62
+], ids=["radix", "lookup"])
+def test_sweep_rows_hold_their_own_query(build):
+    # one sweep whose classes carry 0, 1, 2 and 3 queries, one query twice,
+    # in mixed order: every row is the one-class histogram and the
+    # materialized store's sums on beta >= 1, and holds 0 at beta = 0
+    g = build()
+    keys = g.classes().reps_scaled
+    thr = {(k, c): g.deep_point(k, c).scaled() for k in keys[:4] for c in (1, 2)}
+    queries = [(keys[3], thr[keys[3], 1]), (keys[1], thr[keys[1], 2]),
+               (keys[3], thr[keys[3], 2]), (keys[2], thr[keys[2], 1]),
+               (keys[3], thr[keys[3], 1]), (keys[2], thr[keys[2], 2])]
+    rows = sweep_histogram(g, queries)
+    assert rows.shape == (len(queries), 1 << g.n)
+    store = SupportStore(g, [max(c) for c in zip(*(t for _, t in queries))])
+    weights = 1 << np.arange(g.n, dtype=np.int64)
+    for (key, t), row in zip(queries, rows):
+        assert row[0] == 0
+        assert row[1:].any()
+        assert (row[1:] == single_histogram(g, key, t)[1:]).all()
+        mine = (store.coords % g.det == np.array(key)).all(axis=1)
+        beta = (store.coords[mine] < np.array(t)) @ weights
+        want = np.zeros(1 << g.n, dtype=np.int64)
+        np.add.at(want, beta, store.z[mine])
+        assert (row[1:] == want[1:]).all()
+    assert (rows[0] == rows[4]).all()

@@ -23,9 +23,11 @@ depths of one walk);
 usage errors on ``a2``, two over-long thresholds on ``a1`` (one that
 would overflow int64 and one that asks for about 10^15 points), and two
 malformed inputs: an exponent with a zero denominator and a JSON graph
-whose vertex has no Euler number.  An exception that escapes ``cli.run`` is
+whose vertex has no Euler number.  Last, on a JSON graph whose vertex ids
+hold non-ASCII, quote and backslash characters: ``validate``, ``info``,
+``sw`` for every class, and a ``count`` whose subset names an unknown id.  An exception that escapes ``cli.run`` is
 recorded as exit 1, the interpreter's code for it, with its type hashed
-after the output.  The 810 commands take about 50 s on one core, most of it
+after the output.  The 814 commands take about 50 s on one core, most of it
 on ``ex_graph1``.
 """
 
@@ -43,6 +45,11 @@ from plumbsw import cli
 
 # a JSON graph whose one vertex has no Euler number, written beside the corpus
 NO_EULER = ("no_euler.json", '{"vertices": [{"id": "a"}], "edges": []}')
+# a D4 star, as JSON, whose vertex ids carry non-ASCII, quote and backslash
+# characters, so the digest sees how the reports escape them
+ESCAPES = ("escapes.json", json.dumps({
+    "vertices": [{"id": i, "euler": -2} for i in ("\u2603", "\u00e9", 'q"t', "b\\s")],
+    "edges": [["\u2603", "\u00e9"], ["\u2603", 'q"t'], ["\u2603", "b\\s"]]}))
 
 
 def commands(corpus):
@@ -101,6 +108,10 @@ def commands(corpus):
             ["count"] + a1 + ["--threshold", "1000000000000000"],
             ["coeff"] + a2 + ["--exponent", "1/0,1"],
             ["validate", "--graph", os.path.join(corpus, NO_EULER[0])]]
+    esc = ["--graph", os.path.join(corpus, ESCAPES[0])]
+    out += [["validate"] + esc, ["info"] + esc, ["sw"] + esc + ["--class", "all"],
+            ["count"] + esc + ["--threshold", "1,1,1,1", "--mode", "reduced",
+                               "--subset", '\u00e9,n\u00f6"\\pe']]
     return out
 
 
@@ -122,8 +133,9 @@ def main():
     with tempfile.TemporaryDirectory() as corpus:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(["fixtures", "--out", corpus])
-        with open(os.path.join(corpus, NO_EULER[0]), "w", encoding="utf-8") as fh:
-            fh.write(NO_EULER[1])
+        for name, text in (NO_EULER, ESCAPES):
+            with open(os.path.join(corpus, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for argv in commands(corpus):
             code, digest = run_one(argv, corpus)
             shown = " ".join(a.replace(corpus, "<corpus>") for a in argv)
